@@ -5,13 +5,14 @@
 //!
 //! Checkpoint fast-forward (`docs/ARCHITECTURE.md`, "Checkpoint/restore"):
 //!
-//! * `--checkpoint-to PATH` — run one end-to-end configuration (K = 65),
-//!   quiesce at the end of the warm-up phase, write the checkpoint, and
-//!   continue to the end (the continuation is bit-identical to an
-//!   uninterrupted run).
-//! * `--restore-from PATH` — rebuild the same configuration, load the
-//!   checkpoint, and simulate only the remaining (measured) region —
-//!   skipping the warm-up entirely.
+//! * `--checkpoint-to DIR` — run one end-to-end configuration (K = 65),
+//!   recording a checkpoint ring into `DIR` with one entry per warm-up
+//!   period, and continue to the end (the continuation is bit-identical to
+//!   an uninterrupted run).
+//! * `--restore-from FILE` — rebuild the same configuration, load a ring
+//!   entry (the one at the end of the warm-up is
+//!   `DIR/ck-<warm_ps, 20 digits>.ckpt`), and simulate only the remaining
+//!   (measured) region — skipping the warm-up entirely.
 //! * `--demo-checkpoint` — all of the above in one invocation, verifying
 //!   that the restored run reproduces the uninterrupted results bit for bit
 //!   and reporting the wall-clock fraction the fast-forward skipped.
@@ -20,7 +21,7 @@
 use std::io::Write as _;
 
 use simbricks::hostsim::HostKind;
-use simbricks::runner::Execution;
+use simbricks::runner::{ring_entry_path, Execution};
 use simbricks::SimTime;
 use simbricks_bench::{dctcp_e2e_build, dctcp_end_to_end, dctcp_goodput, dctcp_network_only};
 
@@ -71,17 +72,18 @@ fn parse_args() -> Args {
     args
 }
 
-/// One end-to-end K=65 run with logging; optionally checkpointing at `warm`
-/// or restoring from a file first. Returns (goodput, wall seconds, log
-/// fingerprint, log length).
+/// One end-to-end K=65 run with logging; optionally recording a checkpoint
+/// ring (period, directory) or restoring from a ring entry first. Returns
+/// (goodput, wall seconds, log fingerprint, log length).
 fn e2e_run(
     duration: SimTime,
-    checkpoint: Option<(SimTime, &str)>,
+    ring: Option<(SimTime, &str)>,
     restore: Option<&str>,
 ) -> (f64, f64, u64, usize) {
     let (mut exp, servers) = dctcp_e2e_build(DEMO_K, duration, HostKind::Gem5Timing, true);
-    if let Some((at, path)) = checkpoint {
-        exp.checkpoint_at(at, Some(path.into()));
+    if let Some((period, dir)) = ring {
+        exp.set_checkpoint_ring(period, 0);
+        exp.set_ring_dir(dir.into());
     }
     if let Some(path) = restore {
         let at = exp
@@ -104,15 +106,17 @@ fn main() {
         let (g_full, w_full, f_full, n_full) = e2e_run(duration, None, None);
         println!("# checkpoint fast-forward demo (end-to-end dctcp, K={DEMO_K})");
         println!("uninterrupted:     goodput={g_full:.3}Gbps wall={w_full:.3}s log_len={n_full} fp={f_full:#018x}");
-        // 2. Same run, checkpointing at the end of the warm-up.
-        let path = std::env::temp_dir().join(format!("fig01-warm-{}.ckpt", std::process::id()));
-        let path_s = path.to_str().unwrap().to_string();
-        let (g_ck, w_ck, f_ck, n_ck) = e2e_run(duration, Some((warm, &path_s)), None);
+        // 2. Same run, recording a ring with one entry per warm-up period.
+        let dir = std::env::temp_dir().join(format!("fig01-ring-{}", std::process::id()));
+        let dir_s = dir.to_str().unwrap().to_string();
+        let (g_ck, w_ck, f_ck, n_ck) = e2e_run(duration, Some((warm, &dir_s)), None);
         println!("checkpointing run: goodput={g_ck:.3}Gbps wall={w_ck:.3}s log_len={n_ck} fp={f_ck:#018x}");
-        // 3. Restore and simulate only the measured region.
-        let (g_re, w_re, f_re, n_re) = e2e_run(duration, None, Some(&path_s));
+        // 3. Restore the entry at the end of the warm-up and simulate only
+        // the measured region.
+        let entry = ring_entry_path(&dir, warm);
+        let (g_re, w_re, f_re, n_re) = e2e_run(duration, None, entry.to_str());
         println!("restored run:      goodput={g_re:.3}Gbps wall={w_re:.3}s log_len={n_re} fp={f_re:#018x}");
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
 
         assert_eq!((f_full, n_full), (f_ck, n_ck), "checkpointing run diverged");
         assert_eq!((f_full, n_full), (f_re, n_re), "restored run diverged");
@@ -150,9 +154,13 @@ fn main() {
         return;
     }
 
-    if let Some(path) = &args.checkpoint_to {
-        let (g, w, f, n) = e2e_run(duration, Some((warm, path)), None);
-        println!("checkpoint written to {path} at t={warm}");
+    if let Some(dir) = &args.checkpoint_to {
+        let (g, w, f, n) = e2e_run(duration, Some((warm, dir)), None);
+        let entry = ring_entry_path(std::path::Path::new(dir), warm);
+        println!(
+            "checkpoint ring written to {dir}; warm-up entry {}",
+            entry.display()
+        );
         println!("goodput={g:.3}Gbps wall={w:.3}s log_len={n} fp={f:#018x}");
         return;
     }

@@ -4,7 +4,7 @@
 //! is how simulation time grows with host count.
 //!
 //! Usage:
-//!   `fig08_distributed_scaling [--exec sequential|threads|sharded[:N]]
+//!   `fig08_distributed_scaling [--exec sequential|sharded[:N]]
 //!   [--dist N] [--transport tcp|shm|auto] [--hier-sync] [--json PATH]`
 //!
 //! `--hier-sync` reruns every distributed topology with hierarchical sync
@@ -90,7 +90,14 @@ fn main() {
             "--exec" => {
                 need_value(&args, i);
                 i += 1;
-                exec = Execution::parse(&args[i]).expect("--exec sequential|threads|sharded[:N]");
+                exec = Execution::parse(&args[i]).unwrap_or_else(|| {
+                    eprintln!(
+                        "--exec: unknown executor `{}` (accepted: {})",
+                        args[i],
+                        Execution::ACCEPTED
+                    );
+                    std::process::exit(2);
+                });
             }
             "--transport" => {
                 need_value(&args, i);

@@ -84,9 +84,14 @@ fn run(transport: Transport) -> (f64, f64, f64, String) {
         vec![srv_eth_switch, cli_eth_switch],
     );
 
-    // Threads execution so the proxy forwarding threads overlap with the
-    // component simulators, as in a real distributed run.
-    let r = exp.run(Execution::Threads);
+    // The proxy forwarding threads run alongside the sequential executor,
+    // as in a real distributed run. Promises crossing a proxy arrive on the
+    // forwarders' schedule, so "all components blocked" is transient, not a
+    // deadlock.
+    if handle.is_some() {
+        exp.set_external_inputs();
+    }
+    let r = exp.run(Execution::Sequential);
     let client: &HostModel = r.model(client_id).unwrap();
     let report = client.app_report();
     let tput = report

@@ -5,14 +5,15 @@
 //! Each row runs the standard 2-host netperf configuration with event
 //! logging and reports the merged log's FNV-1a fingerprint and length:
 //! sequential (twice, the §7.6 repetition check), sharded with 1/2/4
-//! workers, and a checkpoint-at-half-time → restore → continue cycle. All
+//! workers, and a checkpoint-ring run → restore from its 6 ms entry →
+//! continue cycle. All
 //! fingerprints must be identical.
 //!
 //! `--json PATH` writes the machine-readable baseline consumed by future
 //! regression checks (see `BENCH_sec76.json` at the repository root) — a
 //! determinism regression then shows up in the perf trajectory exactly like
 //! fig07/fig08/sec742 wall-clock regressions do.
-use simbricks::runner::Execution;
+use simbricks::runner::{ring_entry_path, Execution};
 use simbricks::SimTime;
 use simbricks_bench::netperf_logged_experiment;
 
@@ -26,14 +27,16 @@ fn fingerprint_of(exec: Execution) -> (u64, usize, f64) {
 }
 
 fn fingerprint_of_ckpt_restore() -> (u64, usize, f64) {
-    let path = std::env::temp_dir().join(format!("sec76-{}.ckpt", std::process::id()));
-    let mut exp = netperf_logged_experiment(STREAM, RR);
-    exp.checkpoint_at(SimTime::from_ms(6), Some(path.clone()));
+    let at = SimTime::from_ms(6);
+    let dir = std::env::temp_dir().join(format!("sec76-ring-{}", std::process::id()));
+    let mut exp = netperf_logged_experiment(STREAM, RR).with_checkpoint_ring(at, 0);
+    exp.set_ring_dir(dir.clone());
     let _ = exp.run(Execution::Sequential);
     let mut exp = netperf_logged_experiment(STREAM, RR);
-    exp.restore(&path).expect("restore checkpoint");
+    exp.restore(&ring_entry_path(&dir, at))
+        .expect("restore checkpoint");
     let r = exp.run(Execution::Sequential);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
     let log = r.merged_log();
     (log.fingerprint(), log.len(), r.wall_seconds())
 }

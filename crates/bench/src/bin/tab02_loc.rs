@@ -1,5 +1,6 @@
 //! Tab. 2: implementation size of this reimplementation, per component
-//! (counts non-blank, non-comment-only lines in each crate).
+//! (counts non-blank, non-comment-only lines in the `src` tree of every
+//! workspace crate).
 use std::fs;
 use std::path::Path;
 
@@ -29,11 +30,16 @@ fn count_dir(p: &Path) -> usize {
 fn main() {
     println!("# Table 2: lines of code per component (this Rust reimplementation)");
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().unwrap();
+    // Every workspace member lives in its own directory under `crates/`.
+    let mut crates: Vec<String> = fs::read_dir(root)
+        .expect("read crates directory")
+        .flatten()
+        .filter(|e| e.path().join("Cargo.toml").is_file())
+        .filter_map(|e| e.file_name().into_string().ok())
+        .collect();
+    crates.sort();
     let mut total = 0;
-    for crate_dir in [
-        "base", "proto", "pcie", "eth", "netstack", "nicsim", "netsim", "nvmesim", "hostsim",
-        "apps", "runner", "core", "bench",
-    ] {
+    for crate_dir in &crates {
         let n = count_dir(&root.join(crate_dir).join("src"));
         total += n;
         println!("{:<12} {:>8}", crate_dir, n);

@@ -31,8 +31,8 @@ use std::path::{Path, PathBuf};
 
 use simbricks_base::{EventLog, KernelStats, LogEntry, PortId, SimTime};
 use simbricks_runner::{
-    ring_entries, Execution, Experiment, PartitionBuilder, RingMeta, RunResult,
-    RING_SCENARIO_FILE,
+    read_ring_sidecars, ring_entries, write_ring_sidecars, Execution, Experiment, PartitionBuilder,
+    RingMeta, RunResult,
 };
 use simbricks_scenario::build_from_toml;
 
@@ -62,10 +62,8 @@ impl Replay {
     /// of the TOML lowering (the scenario text is passed through verbatim).
     pub fn open_with(dir: impl Into<PathBuf>, build: BuildFn) -> Result<Self, String> {
         let dir = dir.into();
-        let meta = RingMeta::read_from(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        let spath = dir.join(RING_SCENARIO_FILE);
-        let scenario = std::fs::read_to_string(&spath)
-            .map_err(|e| format!("read {}: {e}", spath.display()))?;
+        let (meta, scenario) =
+            read_ring_sidecars(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         let entries =
             ring_entries(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
         Ok(Replay { dir, meta, scenario, entries, build })
@@ -466,8 +464,6 @@ pub fn record_ring(
     exp.set_ring_dir(dir.clone());
     let r = exp.run(exec);
     let meta = RingMeta { name: r.name.clone(), period, keep, end };
-    meta.write_to(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let spath = dir.join(RING_SCENARIO_FILE);
-    std::fs::write(&spath, scenario).map_err(|e| format!("write {}: {e}", spath.display()))?;
+    write_ring_sidecars(&dir, &meta, scenario).map_err(|e| format!("{}: {e}", dir.display()))?;
     Ok(r)
 }

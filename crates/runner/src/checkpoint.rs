@@ -193,6 +193,49 @@ impl CheckpointFile {
             components,
         })
     }
+
+    /// Inverse of [`CheckpointFile::merge`]: split a whole-experiment
+    /// container into one container per entry of `partitions` (same name,
+    /// same quiesce time), each holding its partition's components in build
+    /// order. `order` is the global build order and `owners[i]` the
+    /// partition of `order[i]`, both recorded at partition discovery. The
+    /// container must hold exactly `order`'s components in that order, and
+    /// every component's owner must be one of `partitions`.
+    pub fn split(
+        &self,
+        order: &[String],
+        owners: &[String],
+        partitions: &[String],
+    ) -> SnapResult<Vec<CheckpointFile>> {
+        if !self.components.iter().map(|(n, _)| n).eq(order) {
+            return Err(SnapError::Corrupt(format!(
+                "checkpoint components do not match the build: {} saved, {} built",
+                self.components.len(),
+                order.len()
+            )));
+        }
+        let mut parts: Vec<CheckpointFile> = partitions
+            .iter()
+            .map(|_| CheckpointFile {
+                name: self.name.clone(),
+                at: self.at,
+                components: Vec::new(),
+            })
+            .collect();
+        for (i, component) in self.components.iter().enumerate() {
+            let idx = owners
+                .get(i)
+                .and_then(|owner| partitions.iter().position(|p| p == owner))
+                .ok_or_else(|| {
+                    SnapError::Corrupt(format!(
+                        "component {:?} belongs to no partition of the run",
+                        component.0
+                    ))
+                })?;
+            parts[idx].components.push(component.clone());
+        }
+        Ok(parts)
+    }
 }
 
 /// Write an already-encoded checkpoint container to `path` via a temp file
@@ -231,7 +274,7 @@ pub fn write_blob_with(
 /// Metadata file name inside a checkpoint-ring directory.
 pub const RING_META_FILE: &str = "RING.meta";
 /// Scenario text file name inside a checkpoint-ring directory (written by
-/// the CLI layer; the replay tool rebuilds the experiment from it).
+/// [`write_ring_sidecars`]; the replay tool rebuilds the experiment from it).
 pub const RING_SCENARIO_FILE: &str = "scenario.toml";
 
 /// Metadata describing a checkpoint-ring directory: a bounded sequence of
@@ -249,64 +292,70 @@ pub struct RingMeta {
     pub end: SimTime,
 }
 
-impl RingMeta {
-    /// Write the metadata file into `dir` (line-oriented `key=value` text).
-    pub fn write_to(&self, dir: &Path) -> SnapResult<()> {
-        let text = format!(
-            "simbricks-ring v1\nname={}\nperiod_ps={}\nkeep={}\nend_ps={}\n",
-            self.name,
-            self.period.as_ps(),
-            self.keep,
-            self.end.as_ps()
-        );
-        let path = dir.join(RING_META_FILE);
-        std::fs::write(&path, text)
-            .map_err(|e| SnapError::Io(format!("write {}: {e}", path.display())))
+/// Write a ring directory's sidecar files: the [`RING_META_FILE`] metadata
+/// (line-oriented `key=value` text) and the exact scenario text that
+/// produced the ring ([`RING_SCENARIO_FILE`]), from which the replay tool
+/// rebuilds the experiment.
+pub fn write_ring_sidecars(dir: &Path, meta: &RingMeta, scenario: &str) -> SnapResult<()> {
+    let text = format!(
+        "simbricks-ring v1\nname={}\nperiod_ps={}\nkeep={}\nend_ps={}\n",
+        meta.name,
+        meta.period.as_ps(),
+        meta.keep,
+        meta.end.as_ps()
+    );
+    for (file, contents) in [
+        (RING_META_FILE, text.as_str()),
+        (RING_SCENARIO_FILE, scenario),
+    ] {
+        let path = dir.join(file);
+        std::fs::write(&path, contents)
+            .map_err(|e| SnapError::Io(format!("write {}: {e}", path.display())))?;
     }
+    Ok(())
+}
 
-    /// Read and validate the metadata file from `dir`.
-    pub fn read_from(dir: &Path) -> SnapResult<RingMeta> {
-        let path = dir.join(RING_META_FILE);
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| SnapError::Io(format!("read {}: {e}", path.display())))?;
-        let mut lines = text.lines();
-        if lines.next() != Some("simbricks-ring v1") {
-            return Err(SnapError::Corrupt(format!(
-                "{}: not a simbricks-ring v1 metadata file",
-                path.display()
-            )));
-        }
-        let mut name = None;
-        let mut period = None;
-        let mut keep = None;
-        let mut end = None;
-        for line in lines {
-            let Some((k, v)) = line.split_once('=') else {
-                continue;
-            };
-            match k {
-                "name" => name = Some(v.to_string()),
-                "period_ps" => period = v.parse::<u64>().ok().map(SimTime::from_ps),
-                "keep" => keep = v.parse::<usize>().ok(),
-                "end_ps" => end = v.parse::<u64>().ok().map(SimTime::from_ps),
-                _ => {}
-            }
-        }
-        match (name, period, keep, end) {
-            (Some(name), Some(period), Some(keep), Some(end)) if period > SimTime::ZERO => {
-                Ok(RingMeta {
-                    name,
-                    period,
-                    keep,
-                    end,
-                })
-            }
-            _ => Err(SnapError::Corrupt(format!(
-                "{}: missing or invalid ring metadata fields",
-                path.display()
-            ))),
+/// Read back what [`write_ring_sidecars`] wrote: the validated metadata and
+/// the scenario text.
+pub fn read_ring_sidecars(dir: &Path) -> SnapResult<(RingMeta, String)> {
+    let read = |file: &str| {
+        let path = dir.join(file);
+        std::fs::read_to_string(&path)
+            .map_err(|e| SnapError::Io(format!("read {}: {e}", path.display())))
+    };
+    let text = read(RING_META_FILE)?;
+    let bad =
+        |what: &str| SnapError::Corrupt(format!("{}: {what}", dir.join(RING_META_FILE).display()));
+    let mut lines = text.lines();
+    if lines.next() != Some("simbricks-ring v1") {
+        return Err(bad("not a simbricks-ring v1 metadata file"));
+    }
+    let mut name = None;
+    let mut period = None;
+    let mut keep = None;
+    let mut end = None;
+    for line in lines {
+        let Some((k, v)) = line.split_once('=') else {
+            continue;
+        };
+        match k {
+            "name" => name = Some(v.to_string()),
+            "period_ps" => period = v.parse::<u64>().ok().map(SimTime::from_ps),
+            "keep" => keep = v.parse::<usize>().ok(),
+            "end_ps" => end = v.parse::<u64>().ok().map(SimTime::from_ps),
+            _ => {}
         }
     }
+    let meta = match (name, period, keep, end) {
+        (Some(name), Some(period), Some(keep), Some(end)) if period > SimTime::ZERO => RingMeta {
+            name,
+            period,
+            keep,
+            end,
+        },
+        _ => return Err(bad("missing or invalid ring metadata fields")),
+    };
+    Ok((meta, read(RING_SCENARIO_FILE)?))
 }
 
 /// Path of the ring entry checkpointed at virtual time `t`.
@@ -664,17 +713,20 @@ mod tests {
             keep: 4,
             end: SimTime::from_ms(6),
         };
-        meta.write_to(&dir).unwrap();
-        assert_eq!(RingMeta::read_from(&dir).unwrap(), meta);
+        write_ring_sidecars(&dir, &meta, "name = \"exp\"\n").unwrap();
+        let (back, scenario) = read_ring_sidecars(&dir).unwrap();
+        assert_eq!((back, scenario.as_str()), (meta, "name = \"exp\"\n"));
 
+        std::fs::remove_file(dir.join(RING_SCENARIO_FILE)).unwrap();
+        assert!(matches!(read_ring_sidecars(&dir), Err(SnapError::Io(_))));
         std::fs::write(dir.join(RING_META_FILE), "not a ring\n").unwrap();
         assert!(matches!(
-            RingMeta::read_from(&dir),
+            read_ring_sidecars(&dir),
             Err(SnapError::Corrupt(_))
         ));
         std::fs::write(dir.join(RING_META_FILE), "simbricks-ring v1\nname=x\n").unwrap();
         assert!(matches!(
-            RingMeta::read_from(&dir),
+            read_ring_sidecars(&dir),
             Err(SnapError::Corrupt(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -745,6 +797,51 @@ mod tests {
         // Component not in the build order.
         let e = CheckpointFile::merge(&[part(&["a", "b", "c", "d"], at)], &order).unwrap_err();
         assert!(matches!(e, SnapError::Corrupt(_)));
+    }
+
+    #[test]
+    fn split_inverts_merge_and_rejects_missing_or_unowned_components() {
+        let strings = |s: &[&str]| -> Vec<String> { s.iter().map(|x| x.to_string()).collect() };
+        let whole = sample();
+        let order = strings(&["a.host", "a.nic", "switch"]);
+        let partitions = strings(&["p0", "p1"]);
+        let parts = whole
+            .split(&order, &strings(&["p1", "p0", "p1"]), &partitions)
+            .unwrap();
+        let names: Vec<Vec<&str>> = parts
+            .iter()
+            .map(|p| p.components.iter().map(|(n, _)| n.as_str()).collect())
+            .collect();
+        assert_eq!(names, [vec!["a.nic"], vec!["a.host", "switch"]]);
+        assert!(parts
+            .iter()
+            .all(|p| p.name == whole.name && p.at == whole.at));
+        let merged = CheckpointFile::merge(&parts, &order).unwrap();
+        assert_eq!(
+            merged.encode(),
+            whole.encode(),
+            "split then merge gives back the bytes"
+        );
+
+        // A component the container lacks, and one the build does not have.
+        let owners = strings(&["p0", "p0", "p0"]);
+        let mut short = sample();
+        short.components.pop();
+        let mut renamed = sample();
+        renamed.components[1].0 = "stranger".into();
+        for bad in [&short, &renamed] {
+            let e = bad.split(&order, &owners, &partitions).unwrap_err();
+            assert!(matches!(e, SnapError::Corrupt(_)), "{e:?}");
+        }
+        // A component owned by a partition outside the run, and one with no
+        // owner at all.
+        for owners in [&strings(&["p0", "p9", "p0"])[..], &owners[..2]] {
+            let e = whole.split(&order, owners, &partitions).unwrap_err();
+            assert!(
+                matches!(e, SnapError::Corrupt(ref m) if m.contains("no partition")),
+                "{e:?}"
+            );
+        }
     }
 }
 

@@ -31,17 +31,18 @@
 //! ## Control protocol
 //!
 //! All control frames are `u32` length-prefixed, a one-byte type, then a
-//! type-specific payload:
+//! type-specific payload encoded with the snapshot codec
+//! ([`SnapWriter`]/[`SnapReader`]: little-endian integers, `u32`-prefixed
+//! strings and blobs):
 //!
 //! | frame    | direction      | payload                                      |
 //! |----------|----------------|----------------------------------------------|
 //! | `HELLO`  | worker → orch  | partition name                               |
 //! | `LINKS`  | worker → orch  | rendezvous address per owned cross link      |
 //! | `ADDRS`  | orch → worker  | full link-name → address map                 |
-//! | `CKPT`   | orch → worker  | ckpt presence + time, restore presence + blob|
+//! | `CKPT`   | orch → worker  | ring period + keep, heartbeat, restore blob? |
 //! | `READY`  | worker → orch  | (empty) partition built, proxies wired       |
 //! | `GO`     | orch → worker  | (empty) barrier release, start simulating    |
-//! | `CKPT_SAVE` | worker → orch | partition snapshot captured mid-run       |
 //! | `RESULT` | worker → orch  | wall seconds + per-component stats and logs  |
 //! | `DONE`   | orch → worker  | (empty) all results in, tear down            |
 //! | `HEARTBEAT` | worker → orch | liveness + virtual-time progress (u64 ps) |
@@ -61,7 +62,10 @@
 //! relaunched from the newest checkpoint-ring slot for which every
 //! partition's snapshot was received *and decodes cleanly* (torn or corrupt
 //! blobs are rejected and older slots tried); with no usable slot the run
-//! restarts from virtual time zero. Because §5.5 synchronization makes
+//! restarts from its restore point ([`DistOptions::with_restore`]) or from
+//! virtual time zero. Restoring from a ring directory on disk seeds the
+//! very same restore state, so a restore from disk and a fleet recovery are
+//! one code path. Because §5.5 synchronization makes
 //! results independent of wall time and snapshots carry the event logs, a
 //! recovered run is bit-identical to an undisturbed one — the property
 //! `tests/integration_faults.rs` asserts. A worker whose pump thread sees
@@ -106,9 +110,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use simbricks_base::snap::{SnapError, SnapReader, SnapResult, SnapWriter};
 use simbricks_base::{channel_pair, ChannelEnd, ChannelParams, EventLog, KernelStats, SimTime};
 use simbricks_hostsim::{Application, HostConfig};
 
+use crate::checkpoint::CheckpointFile;
 use crate::experiment::{AnyModel, Execution, Experiment, RunResult};
 use crate::proxy::{
     read_handshake, write_handshake, ProxyCounters, ProxyHandle, ProxyKind, ShutdownSignal,
@@ -142,14 +148,10 @@ const MSG_READY: u8 = 4;
 const MSG_GO: u8 = 5;
 const MSG_RESULT: u8 = 6;
 const MSG_DONE: u8 = 7;
-/// Orchestrator → worker, after `ADDRS`: checkpoint configuration — a
-/// presence byte and the virtual time to checkpoint at, the checkpoint-ring
-/// period and keep bound (both 0 = no ring) plus, when restoring, the
-/// partition's encoded snapshot container.
+/// Orchestrator → worker, after `ADDRS`: checkpoint configuration — the
+/// checkpoint-ring period and keep bound (both 0 = no ring), the heartbeat
+/// period, and, when restoring, the partition's encoded snapshot container.
 const MSG_CKPT: u8 = 8;
-/// Worker → orchestrator, before `RESULT`: the partition's encoded snapshot
-/// container captured at the configured checkpoint time.
-const MSG_CKPT_SAVE: u8 = 9;
 /// Worker → orchestrator, periodically after `GO`: liveness beacon carrying
 /// the partition's virtual-time progress (u64 picoseconds). Sent by the
 /// worker's pump thread on a wall-clock period, so it keeps flowing even
@@ -431,6 +433,9 @@ pub struct PartitionBuilder {
     /// orchestrator needs them to merge per-partition ring checkpoints into
     /// whole-experiment containers).
     global_names: Vec<String>,
+    /// The partition of each entry of `global_names` (the orchestrator
+    /// splits a whole-experiment restore container by it).
+    global_partitions: Vec<String>,
     listeners: HashMap<String, TcpListener>,
     addr_map: HashMap<String, String>,
     proxies: Vec<ProxyHandle>,
@@ -466,6 +471,7 @@ impl PartitionBuilder {
             next_global: 0,
             local_globals: Vec::new(),
             global_names: Vec::new(),
+            global_partitions: Vec::new(),
             listeners: HashMap::new(),
             addr_map: HashMap::new(),
             proxies: Vec::new(),
@@ -538,6 +544,7 @@ impl PartitionBuilder {
         self.next_global += 1;
         let name = name.into();
         self.global_names.push(name.clone());
+        self.global_partitions.push(partition.to_string());
         if self.is_local(partition) {
             self.exp().add(name, model, ports);
             self.local_globals.push(global);
@@ -845,13 +852,10 @@ pub struct DistOptions {
     /// Harness binaries use the default hidden `--dist-worker` flag; test
     /// binaries route to their worker-entry test instead.
     pub worker_args: Vec<String>,
-    /// Mid-run checkpoint: quiesce every partition at the given virtual time
-    /// and write one region file per partition (`<dir>/<partition>.ckpt`)
-    /// into the given directory. Snapshots travel from the workers to the
-    /// orchestrator over the control socket.
-    pub checkpoint: Option<(SimTime, PathBuf)>,
-    /// Restore every partition from `<dir>/<partition>.ckpt` before the
-    /// start barrier; the run then resumes at the checkpoint's virtual time.
+    /// Checkpoint-ring directory to restore from: the orchestrator loads the
+    /// newest entry that decodes (older ones are tried when it does not),
+    /// splits it per partition, and ships each worker its part before the
+    /// start barrier; the run then resumes at the entry's virtual time.
     pub restore_from: Option<PathBuf>,
     /// Checkpoint ring: every worker quiesces at each multiple of the period
     /// and ships its partition's snapshots to the orchestrator, which merges
@@ -894,7 +898,6 @@ impl DistOptions {
             exec: Execution::Sequential,
             transport: TransportKind::from_env_or(TransportKind::Auto),
             worker_args: vec!["--dist-worker".into()],
-            checkpoint: None,
             restore_from: None,
             ring: None,
             faults: Vec::new(),
@@ -903,14 +906,9 @@ impl DistOptions {
         }
     }
 
-    /// Request a mid-run checkpoint at virtual time `at`, written as one
-    /// file per partition into `dir`.
-    pub fn with_checkpoint(mut self, at: SimTime, dir: impl Into<PathBuf>) -> Self {
-        self.checkpoint = Some((at, dir.into()));
-        self
-    }
-
-    /// Restore all partitions from the per-partition files in `dir`.
+    /// Restore all partitions from the newest decodable entry of the
+    /// checkpoint ring in `dir` (written by a local or distributed run with
+    /// a checkpoint ring).
     pub fn with_restore(mut self, dir: impl Into<PathBuf>) -> Self {
         self.restore_from = Some(dir.into());
         self
@@ -1161,46 +1159,42 @@ fn drain_ctrl(s: &mut TcpStream, fb: &mut FrameBuf, scratch: &mut [u8]) -> io::R
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// Decode a control payload with the snapshot codec: `read` consumes every
+/// field, and a truncated, malformed, or over-long payload becomes one
+/// `InvalidData` I/O error.
+fn decode_payload<T>(
+    payload: &[u8],
+    read: impl FnOnce(&mut SnapReader) -> SnapResult<T>,
+) -> io::Result<T> {
+    let mut r = SnapReader::new(payload);
+    read(&mut r)
+        .and_then(|v| match r.remaining() {
+            0 => Ok(v),
+            n => Err(SnapError::Corrupt(format!("{n} trailing bytes"))),
+        })
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("control payload: {e}")))
 }
 
-/// Byte-slice reader for control payloads.
-struct Dec<'a> {
-    buf: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, off: 0 }
+/// `LINKS`/`ADDRS` payload: a count, then (link name, address) pairs.
+fn encode_addrs(addrs: &[(String, String)]) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.u32(addrs.len() as u32);
+    for (name, addr) in addrs {
+        w.str(name);
+        w.str(addr);
     }
+    w.into_vec()
+}
 
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.off + n > self.buf.len() {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated control payload"));
+fn decode_addrs(payload: &[u8]) -> io::Result<Vec<(String, String)>> {
+    decode_payload(payload, |r| {
+        let n = r.u32()? as usize;
+        let mut out = Vec::with_capacity(n.min(r.remaining()));
+        for _ in 0..n {
+            out.push((r.str()?, r.str()?));
         }
-        let s = &self.buf[self.off..self.off + n];
-        self.off += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        // io-ok: infallible - take(4) returned exactly 4 bytes
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        // io-ok: infallible - take(8) returned exactly 8 bytes
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> io::Result<String> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-utf8 control string"))
-    }
+        Ok(out)
+    })
 }
 
 /// Intern a log tag received over the control socket. [`EventLog`] records
@@ -1220,23 +1214,23 @@ fn intern_tag(tag: &str) -> &'static str {
 }
 
 fn encode_result(result: &RunResult, local_globals: &[usize]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&result.wall_seconds().to_bits().to_le_bytes());
-    out.extend_from_slice(&(result.component_names.len() as u32).to_le_bytes());
+    let mut w = SnapWriter::new();
+    w.f64(result.wall_seconds());
+    w.u32(result.component_names.len() as u32);
     for (i, name) in result.component_names.iter().enumerate() {
-        out.extend_from_slice(&(local_globals[i] as u64).to_le_bytes());
-        put_str(&mut out, name);
-        out.extend_from_slice(&result.stats[i].to_wire());
+        w.usize(local_globals[i]);
+        w.str(name);
+        w.raw(&result.stats[i].to_wire());
         let log = &result.logs[i];
-        out.extend_from_slice(&(log.len() as u32).to_le_bytes());
+        w.u32(log.len() as u32);
         for e in log.entries() {
-            out.extend_from_slice(&e.time.as_ps().to_le_bytes());
-            put_str(&mut out, e.tag);
-            out.extend_from_slice(&e.a.to_le_bytes());
-            out.extend_from_slice(&e.b.to_le_bytes());
+            w.time(e.time);
+            w.str(e.tag);
+            w.u64(e.a);
+            w.u64(e.b);
         }
     }
-    out
+    w.into_vec()
 }
 
 struct WorkerReport {
@@ -1246,29 +1240,28 @@ struct WorkerReport {
 }
 
 fn decode_result(payload: &[u8]) -> io::Result<WorkerReport> {
-    let mut d = Dec::new(payload);
-    let wall_seconds = f64::from_bits(d.u64()?);
-    let ncomp = d.u32()? as usize;
-    let mut components = Vec::with_capacity(ncomp);
-    for _ in 0..ncomp {
-        let global = d.u64()? as usize;
-        let name = d.str()?;
-        let stats = KernelStats::from_wire(d.take(KernelStats::WIRE_LEN)?)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad stats encoding"))?;
-        let nlog = d.u32()? as usize;
-        let mut log = EventLog::enabled();
-        for _ in 0..nlog {
-            let time = SimTime::from_ps(d.u64()?);
-            let tag = d.str()?;
-            let a = d.u64()?;
-            let b = d.u64()?;
-            log.record(time, intern_tag(&tag), a, b);
+    decode_payload(payload, |r| {
+        let wall_seconds = r.f64()?;
+        let ncomp = r.u32()? as usize;
+        let mut components = Vec::with_capacity(ncomp.min(r.remaining()));
+        for _ in 0..ncomp {
+            let global = r.usize()?;
+            let name = r.str()?;
+            let stats = KernelStats::from_wire(r.take(KernelStats::WIRE_LEN)?)
+                .ok_or_else(|| SnapError::Corrupt("bad stats encoding".into()))?;
+            let nlog = r.u32()?;
+            let mut log = EventLog::enabled();
+            for _ in 0..nlog {
+                let time = r.time()?;
+                let tag = r.str()?;
+                log.record(time, intern_tag(&tag), r.u64()?, r.u64()?);
+            }
+            components.push((global, name, stats, log));
         }
-        components.push((global, name, stats, log));
-    }
-    Ok(WorkerReport {
-        wall_seconds,
-        components,
+        Ok(WorkerReport {
+            wall_seconds,
+            components,
+        })
     })
 }
 
@@ -1334,23 +1327,10 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
     ctrl.set_read_timeout(Some(CONTROL_TIMEOUT))?;
     ctrl.set_nodelay(true)?;
     write_frame(&mut ctrl, MSG_HELLO, partition.as_bytes())?;
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(my_links.len() as u32).to_le_bytes());
-    for (name, addr) in &my_links {
-        put_str(&mut payload, name);
-        put_str(&mut payload, addr);
-    }
-    write_frame(&mut ctrl, MSG_LINKS, &payload)?;
-
-    let payload = expect_frame(&mut ctrl, MSG_ADDRS)?;
-    let mut d = Dec::new(&payload);
-    let n = d.u32()? as usize;
-    let mut addr_map = HashMap::new();
-    for _ in 0..n {
-        let name = d.str()?;
-        let addr = d.str()?;
-        addr_map.insert(name, addr);
-    }
+    write_frame(&mut ctrl, MSG_LINKS, &encode_addrs(&my_links))?;
+    let addr_map: HashMap<String, String> = decode_addrs(&expect_frame(&mut ctrl, MSG_ADDRS)?)?
+        .into_iter()
+        .collect();
 
     // Real build: instantiate this partition, bridging cross links.
     let mut pb = PartitionBuilder::new(BuildMode::Worker, Some(partition.clone()));
@@ -1379,30 +1359,29 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
     let proxies = std::mem::take(&mut pb.proxies);
     let link_shutdowns = std::mem::take(&mut pb.link_shutdowns);
 
-    // Checkpoint configuration: the orchestrator tells every worker whether
-    // (and when) to quiesce, and hands it its restore snapshot, if any.
-    let ckpt_cfg = expect_frame(&mut ctrl, MSG_CKPT)?;
-    let mut d = Dec::new(&ckpt_cfg);
-    let has_ckpt = d.take(1)?[0] != 0;
-    let ckpt_at = d.u64()?;
-    let ring_period = d.u64()?;
-    let ring_keep = d.u64()? as usize;
-    let heartbeat = match d.u64()? {
+    // Checkpoint configuration: the orchestrator tells every worker the
+    // ring cadence and heartbeat period, and hands it its restore snapshot,
+    // if any.
+    let (ring_period, ring_keep, heartbeat_ms, restore) =
+        decode_payload(&expect_frame(&mut ctrl, MSG_CKPT)?, |r| {
+            Ok((
+                r.u64()?,
+                r.usize()?,
+                r.u64()?,
+                if r.bool()? { Some(r.bytes()?) } else { None },
+            ))
+        })?;
+    let heartbeat = match heartbeat_ms {
         0 => DEFAULT_HEARTBEAT,
         ms => Duration::from_millis(ms),
     };
-    let has_restore = d.take(1)?[0] != 0;
-    if has_restore {
-        let blob = d.take(ckpt_cfg.len() - d.off)?.to_vec();
+    if let Some(blob) = restore {
         exp.restore_from_blob(&blob).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("restoring partition {partition:?}: {e}"),
             )
         })?;
-    }
-    if has_ckpt {
-        exp.checkpoint_at(SimTime::from_ps(ckpt_at), None);
     }
     if ring_period != 0 {
         // Every worker quiesces at the same virtual times (pause promises
@@ -1430,11 +1409,11 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
         // classifies a dead control channel authoritatively.
         let w = writer.clone();
         exp.set_ring_sink(Box::new(move |at, blob| {
-            let mut payload = Vec::with_capacity(8 + blob.len());
-            payload.extend_from_slice(&at.as_ps().to_le_bytes());
-            payload.extend_from_slice(blob);
+            let mut payload = SnapWriter::new();
+            payload.time(at);
+            payload.raw(blob);
             if let Ok(mut s) = w.lock() {
-                let _ = write_frame(&mut s, MSG_RING, &payload);
+                let _ = write_frame(&mut s, MSG_RING, &payload.into_vec());
             }
         }));
     }
@@ -1467,10 +1446,6 @@ fn run_worker(build: &BuildFn) -> io::Result<()> {
         let mut w = writer
             .lock()
             .map_err(|_| io::Error::other("control writer poisoned"))?;
-        if has_ckpt {
-            let blob = result.checkpoint.as_deref().unwrap_or(&[]);
-            write_frame(&mut w, MSG_CKPT_SAVE, blob)?;
-        }
         let payload = encode_result(&result, &local_globals);
         write_frame(&mut w, MSG_RESULT, &payload)?;
     }
@@ -1646,6 +1621,7 @@ struct Discovery {
     links: Vec<LinkDecl>,
     expected_components: usize,
     global_names: Vec<String>,
+    global_partitions: Vec<String>,
 }
 
 /// One scheduled fault plus its fired flag. The flag survives fleet
@@ -1704,12 +1680,17 @@ fn discover(opts: &DistOptions, build: &BuildFn) -> Result<Discovery, DistError>
         links: pb.links,
         expected_components: pb.next_global,
         global_names: std::mem::take(&mut pb.global_names),
+        global_partitions: std::mem::take(&mut pb.global_partitions),
     })
 }
 
 /// Raw per-partition ring snapshots, keyed slot time → partition name. This
 /// outlives individual fleet attempts: it is the recovery store.
 type RingStore = BTreeMap<u64, BTreeMap<String, Vec<u8>>>;
+
+/// A fleet restore point: virtual time (ps) plus each partition's encoded
+/// snapshot container.
+type Restore = (u64, HashMap<String, Vec<u8>>);
 
 /// Pick the newest ring slot for which every partition's snapshot arrived
 /// *and decodes cleanly*. Corrupt or torn slots are recorded in the report
@@ -1719,14 +1700,14 @@ fn select_restore(
     ring_store: &RingStore,
     partitions: &[String],
     report: &mut RecoveryReport,
-) -> Option<(u64, HashMap<String, Vec<u8>>)> {
+) -> Option<Restore> {
     for (at, parts) in ring_store.iter().rev() {
         if !partitions.iter().all(|p| parts.contains_key(p)) {
             continue;
         }
         let mut ok = true;
         for (p, blob) in parts {
-            if let Err(e) = crate::checkpoint::CheckpointFile::decode(blob) {
+            if let Err(e) = CheckpointFile::decode(blob) {
                 report
                     .rejected_entries
                     .push(format!("slot {at} ps, partition {p:?}: {e}"));
@@ -1740,18 +1721,64 @@ fn select_restore(
     None
 }
 
+/// The restore point of [`DistOptions::with_restore`]: the newest entry of
+/// the ring in `dir` that decodes, split per partition. Entries that do not
+/// load are recorded in the report and older ones tried.
+fn load_disk_restore(
+    dir: &std::path::Path,
+    opts: &DistOptions,
+    disc: &Discovery,
+    report: &mut RecoveryReport,
+) -> Result<Restore, DistError> {
+    let entries = crate::checkpoint::ring_entries(dir)
+        .map_err(|e| DistError::Io(format!("restore ring: {e}")))?;
+    for (_, path) in entries.iter().rev() {
+        let split = CheckpointFile::read_from(path).and_then(|f| {
+            let parts = f.split(
+                &disc.global_names,
+                &disc.global_partitions,
+                &opts.partitions,
+            )?;
+            Ok((f.at.as_ps(), parts))
+        });
+        match split {
+            Ok((at, parts)) => {
+                let blobs = opts
+                    .partitions
+                    .iter()
+                    .cloned()
+                    .zip(parts.iter().map(|f| f.encode()));
+                return Ok((at, blobs.collect()));
+            }
+            Err(e) => report
+                .rejected_entries
+                .push(format!("{}: {e}", path.display())),
+        }
+    }
+    Err(DistError::Invalid(format!(
+        "no restorable ring entry in {}",
+        dir.display()
+    )))
+}
+
 fn control_lost(p: &str, e: io::Error) -> DistError {
     DistError::ControlLost { partition: p.to_string(), error: e.to_string() }
+}
+
+fn protocol(p: &str, error: impl ToString) -> DistError {
+    DistError::Protocol {
+        partition: p.to_string(),
+        error: error.to_string(),
+    }
 }
 
 fn conn_of<'a>(
     conns: &'a mut HashMap<String, TcpStream>,
     p: &str,
 ) -> Result<&'a mut TcpStream, DistError> {
-    conns.get_mut(p).ok_or_else(|| DistError::Protocol {
-        partition: p.to_string(),
-        error: "no control connection".into(),
-    })
+    conns
+        .get_mut(p)
+        .ok_or_else(|| protocol(p, "no control connection"))
 }
 
 /// Orchestrate a true multi-process distributed run: spawn one worker process
@@ -1762,7 +1789,8 @@ fn conn_of<'a>(
 /// injection), and collect per-worker statistics and event logs over the
 /// control socket. On a retryable failure with restarts remaining
 /// ([`DistOptions::max_restarts`]) the fleet is relaunched from the newest
-/// valid checkpoint-ring slot (or from zero without one); §5.5 determinism
+/// valid checkpoint-ring slot (or, without one, from the run's restore point
+/// or from zero); §5.5 determinism
 /// makes the recovered result bit-identical to an undisturbed run. Returns
 /// the reassembled [`DistResult`] with its [`RecoveryReport`].
 pub fn run_distributed(opts: &DistOptions, build: &BuildFn) -> Result<DistResult, DistError> {
@@ -1774,7 +1802,11 @@ pub fn run_distributed(opts: &DistOptions, build: &BuildFn) -> Result<DistResult
         .map(|spec| FaultState { spec: spec.clone(), fired: false })
         .collect();
     let mut ring_store: RingStore = RingStore::new();
-    let mut restore: Option<(u64, HashMap<String, Vec<u8>>)> = None;
+    let disk_restore = match &opts.restore_from {
+        Some(dir) => Some(load_disk_restore(dir, opts, &disc, &mut report)?),
+        None => None,
+    };
+    let mut restore = disk_restore.clone();
     let mut restarts: u32 = 0;
     loop {
         let mut high_water: u64 = restore.as_ref().map(|(at, _)| *at).unwrap_or(0);
@@ -1795,7 +1827,9 @@ pub fn run_distributed(opts: &DistOptions, build: &BuildFn) -> Result<DistResult
             Err(e) if e.retryable() && restarts < opts.max_restarts => {
                 restarts += 1;
                 report.restarts = restarts;
-                restore = select_restore(&ring_store, &opts.partitions, &mut report);
+                // No newer ring slot: fall back to where this run started.
+                restore = select_restore(&ring_store, &opts.partitions, &mut report)
+                    .or_else(|| disk_restore.clone());
                 let cut = restore.as_ref().map(|(at, _)| *at).unwrap_or(0);
                 report.ring_entries_used.push(restore.as_ref().map(|_| SimTime::from_ps(cut)));
                 report.time_lost =
@@ -1835,7 +1869,6 @@ struct WorkerState {
     last_seen: Instant,
     /// Newest virtual-time progress reported (heartbeats / ring frames).
     virt: u64,
-    ckpt_blob: Option<Vec<u8>>,
     report: Option<WorkerReport>,
 }
 
@@ -1846,7 +1879,7 @@ struct WorkerState {
 fn run_attempt(
     opts: &DistOptions,
     disc: &Discovery,
-    restore: Option<&(u64, HashMap<String, Vec<u8>>)>,
+    restore: Option<&Restore>,
     faults: &mut [FaultState],
     ring_store: &mut RingStore,
     report: &mut RecoveryReport,
@@ -1910,15 +1943,10 @@ fn run_attempt(
                 s.set_nodelay(true).map_err(DistError::from)?;
                 let hello = expect_frame(&mut s, MSG_HELLO)
                     .map_err(|e| control_lost("<handshaking>", e))?;
-                let partition = String::from_utf8(hello).map_err(|_| DistError::Protocol {
-                    partition: "<handshaking>".into(),
-                    error: "non-utf8 HELLO".into(),
-                })?;
+                let partition = String::from_utf8(hello)
+                    .map_err(|_| protocol("<handshaking>", "non-utf8 HELLO"))?;
                 if !opts.partitions.contains(&partition) {
-                    return Err(DistError::Protocol {
-                        partition: partition.clone(),
-                        error: "unknown worker partition".into(),
-                    });
+                    return Err(protocol(&partition, "unknown worker partition"));
                 }
                 conns.insert(partition, s);
             }
@@ -1932,81 +1960,42 @@ fn run_attempt(
     // Gather every worker's listener addresses, then broadcast the full map.
     let mut addr_map: Vec<(String, String)> = Vec::new();
     for p in &opts.partitions {
-        let payload =
-            expect_frame(conn_of(&mut conns, p)?, MSG_LINKS).map_err(|e| control_lost(p, e))?;
-        let mut d = Dec::new(&payload);
-        let n = d.u32().map_err(|e| control_lost(p, e))? as usize;
-        for _ in 0..n {
-            let name = d.str().map_err(|e| control_lost(p, e))?;
-            let addr = d.str().map_err(|e| control_lost(p, e))?;
-            addr_map.push((name, addr));
-        }
+        let links = expect_frame(conn_of(&mut conns, p)?, MSG_LINKS)
+            .and_then(|payload| decode_addrs(&payload))
+            .map_err(|e| control_lost(p, e))?;
+        addr_map.extend(links);
     }
-    let mut payload = Vec::new();
-    payload.extend_from_slice(&(addr_map.len() as u32).to_le_bytes());
-    for (name, addr) in &addr_map {
-        put_str(&mut payload, name);
-        put_str(&mut payload, addr);
-    }
+    let payload = encode_addrs(&addr_map);
     for p in &opts.partitions {
         write_frame(conn_of(&mut conns, p)?, MSG_ADDRS, &payload)
             .map_err(|e| control_lost(p, e))?;
     }
 
-    // Checkpoint configuration: an explicit presence byte plus the quiesce
-    // time, then — when restoring — each partition's snapshot shipped over
-    // the control socket. Recovery restores (ring blobs held in memory) take
-    // precedence over [`DistOptions::restore_from`]. A one-shot checkpoint
-    // whose time the restore point has already passed is skipped for this
-    // attempt — it was only capturable in the attempt that failed.
-    if let Some((_, dir)) = &opts.checkpoint {
-        std::fs::create_dir_all(dir).map_err(DistError::from)?;
-    }
+    // Checkpoint configuration: ring cadence and heartbeat period, then —
+    // when restoring — each partition's snapshot shipped over the control
+    // socket.
     if let Some(ring) = &opts.ring {
         std::fs::create_dir_all(&ring.dir).map_err(DistError::from)?;
     }
     let restore_at = restore.map(|(at, _)| *at);
-    let expect_ckpt = match (&opts.checkpoint, restore_at) {
-        (Some((at, _)), Some(r)) if r >= at.as_ps() => {
-            eprintln!(
-                "dist: one-shot checkpoint at {} ps predates the restore point ({r} ps); skipped",
-                at.as_ps()
-            );
-            false
-        }
-        (Some(_), _) => true,
-        (None, _) => false,
-    };
+    let (ring_period, ring_keep) = opts
+        .ring
+        .as_ref()
+        .map(|r| (r.period.as_ps(), r.keep))
+        .unwrap_or((0, 0));
     for p in &opts.partitions {
-        let mut payload = Vec::new();
-        payload.push(expect_ckpt as u8);
-        let ckpt_at = opts.checkpoint.as_ref().map(|(at, _)| at.as_ps()).unwrap_or(0);
-        payload.extend_from_slice(&ckpt_at.to_le_bytes());
-        let (ring_period, ring_keep) = opts
-            .ring
-            .as_ref()
-            .map(|r| (r.period.as_ps(), r.keep as u64))
-            .unwrap_or((0, 0));
-        payload.extend_from_slice(&ring_period.to_le_bytes());
-        payload.extend_from_slice(&ring_keep.to_le_bytes());
-        payload.extend_from_slice(&(opts.heartbeat.as_millis() as u64).to_le_bytes());
-        let restore_blob = match restore {
-            Some((_, blobs)) => blobs.get(p).cloned(),
-            None => match &opts.restore_from {
-                Some(dir) => Some(
-                    std::fs::read(dir.join(format!("{p}.ckpt"))).map_err(DistError::from)?,
-                ),
-                None => None,
-            },
-        };
-        match restore_blob {
+        let mut w = SnapWriter::new();
+        w.u64(ring_period);
+        w.usize(ring_keep);
+        w.u64(opts.heartbeat.as_millis() as u64);
+        match restore.and_then(|(_, blobs)| blobs.get(p)) {
             Some(blob) => {
-                payload.push(1);
-                payload.extend_from_slice(&blob);
+                w.bool(true);
+                w.bytes(blob);
             }
-            None => payload.push(0),
+            None => w.bool(false),
         }
-        write_frame(conn_of(&mut conns, p)?, MSG_CKPT, &payload)
+        write_frame(conn_of(&mut conns, p)?, MSG_CKPT, &w.into_vec())
             .map_err(|e| control_lost(p, e))?;
     }
 
@@ -2024,33 +2013,15 @@ fn run_attempt(
         opts, disc, &mut conns, &mut guard, faults, ring_store, report, high_water, restore_at,
     )?;
 
-    // All partitions reported. Persist the one-shot checkpoint blobs, then
-    // acknowledge and reap.
+    // All partitions reported: collect, then acknowledge and reap.
     let wall = start.elapsed();
     let mut partition_walls = Vec::new();
     let mut all: Vec<(usize, String, KernelStats, EventLog)> = Vec::new();
     for p in &opts.partitions {
-        let st = states_done.remove(p).ok_or_else(|| DistError::Protocol {
-            partition: p.clone(),
-            error: "supervision lost its state".into(),
-        })?;
-        if expect_ckpt {
-            let blob = st.ckpt_blob.as_deref().unwrap_or(&[]);
-            if blob.is_empty() {
-                return Err(DistError::Protocol {
-                    partition: p.clone(),
-                    error: "reported an empty checkpoint".into(),
-                });
-            }
-            if let Some((_, dir)) = &opts.checkpoint {
-                crate::checkpoint::write_blob(&dir.join(format!("{p}.ckpt")), blob)
-                    .map_err(|e| DistError::Io(format!("writing checkpoint of {p:?}: {e}")))?;
-            }
-        }
-        let rep = st.report.ok_or_else(|| DistError::Protocol {
-            partition: p.clone(),
-            error: "no result".into(),
-        })?;
+        let st = states_done
+            .remove(p)
+            .ok_or_else(|| protocol(p, "supervision lost its state"))?;
+        let rep = st.report.ok_or_else(|| protocol(p, "no result"))?;
         partition_walls.push(rep.wall_seconds);
         all.extend(rep.components);
     }
@@ -2062,10 +2033,10 @@ fn run_attempt(
     for (name, mut child) in guard.disarm() {
         let status = child.wait().map_err(DistError::from)?;
         if !status.success() {
-            return Err(DistError::Protocol {
-                partition: name,
-                error: format!("exited with {status} after reporting"),
-            });
+            return Err(protocol(
+                &name,
+                format!("exited with {status} after reporting"),
+            ));
         }
     }
 
@@ -2073,14 +2044,14 @@ fn run_attempt(
     // in-process baseline.
     all.sort_by_key(|(global, _, _, _)| *global);
     if all.len() != disc.expected_components {
-        return Err(DistError::Protocol {
-            partition: "<all>".into(),
-            error: format!(
+        return Err(protocol(
+            "<all>",
+            format!(
                 "workers reported {} components, build declares {}",
                 all.len(),
                 disc.expected_components
             ),
-        });
+        ));
     }
     let mut component_names = Vec::with_capacity(all.len());
     let mut stats = Vec::with_capacity(all.len());
@@ -2139,7 +2110,7 @@ fn merge_ring_slot(
             Some(b) => b,
             None => return,
         };
-        match crate::checkpoint::CheckpointFile::decode(blob) {
+        match CheckpointFile::decode(blob) {
             Ok(f) => files.push(f),
             Err(e) => {
                 report
@@ -2149,7 +2120,7 @@ fn merge_ring_slot(
             }
         }
     }
-    let merged = match crate::checkpoint::CheckpointFile::merge(&files, global_names) {
+    let merged = match CheckpointFile::merge(&files, global_names) {
         Ok(m) => m,
         Err(e) => {
             report.rejected_entries.push(format!("merge slot {at} ps: {e}"));
@@ -2167,7 +2138,7 @@ fn merge_ring_slot(
 }
 
 /// The post-`GO` supervisor loop: drain every worker's control socket
-/// (heartbeats, streamed ring snapshots, checkpoint blobs, results), detect
+/// (heartbeats, streamed ring snapshots, results), detect
 /// failures (process exit, heartbeat silence, control EOF, protocol
 /// violations) and classify them as typed errors, and inject scheduled
 /// faults when the fleet's minimum virtual time crosses their thresholds.
@@ -2201,7 +2172,6 @@ fn supervise(
                     fb: FrameBuf::default(),
                     last_seen: Instant::now(),
                     virt: base,
-                    ckpt_blob: None,
                     report: None,
                 },
             )
@@ -2231,56 +2201,35 @@ fn supervise(
             loop {
                 match st.fb.pop() {
                     Ok(Some((MSG_HEARTBEAT, payload))) => {
-                        let mut d = Dec::new(&payload);
-                        st.virt = d.u64().map_err(|e| DistError::Protocol {
-                            partition: p.clone(),
-                            error: format!("bad heartbeat: {e}"),
-                        })?;
+                        st.virt = decode_payload(&payload, |r| r.u64())
+                            .map_err(|e| protocol(p, format!("bad heartbeat: {e}")))?;
                         st.last_seen = Instant::now();
                     }
                     Ok(Some((MSG_RING, payload))) => {
-                        if payload.len() < 8 {
-                            return Err(DistError::Protocol {
-                                partition: p.clone(),
-                                error: "short ring frame".into(),
-                            });
-                        }
-                        let at = u64::from_le_bytes([
-                            payload[0], payload[1], payload[2], payload[3], payload[4],
-                            payload[5], payload[6], payload[7],
-                        ]);
+                        let (at, blob) = decode_payload(&payload, |r| {
+                            Ok((r.u64()?, r.take(r.remaining())?.to_vec()))
+                        })
+                        .map_err(|e| protocol(p, format!("bad ring frame: {e}")))?;
                         st.last_seen = Instant::now();
                         st.virt = st.virt.max(at);
                         let slot = ring_store.entry(at).or_default();
-                        slot.insert(p.clone(), payload[8..].to_vec());
+                        slot.insert(p.clone(), blob);
                         if slot.len() == opts.partitions.len() {
                             completed_slots.push(at);
                         }
                     }
-                    Ok(Some((MSG_CKPT_SAVE, payload))) => {
-                        st.ckpt_blob = Some(payload);
-                        st.last_seen = Instant::now();
-                    }
                     Ok(Some((MSG_RESULT, payload))) => {
-                        let rep = decode_result(&payload).map_err(|e| DistError::Protocol {
-                            partition: p.clone(),
-                            error: format!("bad result: {e}"),
-                        })?;
+                        let rep = decode_result(&payload)
+                            .map_err(|e| protocol(p, format!("bad result: {e}")))?;
                         st.report = Some(rep);
                         st.last_seen = Instant::now();
                     }
                     Ok(Some((ty, _))) => {
-                        return Err(DistError::Protocol {
-                            partition: p.clone(),
-                            error: format!("unexpected control frame type {ty}"),
-                        });
+                        return Err(protocol(p, format!("unexpected control frame type {ty}")));
                     }
                     Ok(None) => break,
                     Err(e) => {
-                        return Err(DistError::Protocol {
-                            partition: p.clone(),
-                            error: e.to_string(),
-                        });
+                        return Err(protocol(p, e));
                     }
                 }
             }
@@ -2298,17 +2247,13 @@ fn supervise(
             merge_ring_slot(at, ring_store, opts, &disc.global_names, report);
         }
         if let Some(ring) = &opts.ring {
-            if ring.keep > 0 {
-                let complete: Vec<u64> = ring_store
-                    .iter()
-                    .filter(|(_, parts)| parts.len() == opts.partitions.len())
-                    .map(|(at, _)| *at)
-                    .collect();
-                if complete.len() > ring.keep {
-                    for at in &complete[..complete.len() - ring.keep] {
-                        ring_store.remove(at);
-                    }
-                }
+            let complete: Vec<SimTime> = ring_store
+                .iter()
+                .filter(|(_, parts)| parts.len() == opts.partitions.len())
+                .map(|(at, _)| SimTime::from_ps(*at))
+                .collect();
+            for at in crate::checkpoint::ring_prune_plan(&complete, ring.keep) {
+                ring_store.remove(&at.as_ps());
             }
         }
 
@@ -2672,6 +2617,37 @@ mod tests {
         // A zero-length frame is a protocol error, not a hang.
         fb.push(&[0, 0, 0, 0]);
         assert!(fb.pop().is_err());
+    }
+
+    #[test]
+    fn result_frames_round_trip_and_reject_every_truncation() {
+        let mut r = run_local("", &two_partition_build, Execution::Sequential);
+        for (i, log) in r.logs.iter_mut().enumerate() {
+            log.record(SimTime::from_ns(10 + i as u64), "rx", 1, 2);
+            log.record(SimTime::from_ns(20), "tx", 3, i as u64);
+        }
+        let payload = encode_result(&r, &[4, 7]);
+        let back = decode_result(&payload).expect("round trip");
+        assert_eq!(back.wall_seconds.to_bits(), r.wall_seconds().to_bits());
+        assert_eq!(back.components.len(), 2);
+        for (i, (global, name, stats, log)) in back.components.iter().enumerate() {
+            assert_eq!(*global, [4, 7][i]);
+            assert_eq!(*name, r.component_names[i]);
+            assert_eq!(stats.to_wire(), r.stats[i].to_wire());
+            assert_eq!(log.entries(), r.logs[i].entries());
+        }
+        for n in 0..payload.len() {
+            assert!(
+                decode_result(&payload[..n]).is_err(),
+                "truncation to {n} bytes decoded"
+            );
+        }
+        let mut long = payload.clone();
+        long.push(0);
+        assert!(decode_result(&long).is_err(), "trailing bytes are rejected");
+
+        let addrs = vec![("l0".to_string(), "tcp:127.0.0.1:9".to_string())];
+        assert_eq!(decode_addrs(&encode_addrs(&addrs)).unwrap(), addrs);
     }
 
     #[test]

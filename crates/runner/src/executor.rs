@@ -1,14 +1,12 @@
 //! Sharded work-stealing executor: many kernels over a fixed worker pool.
 //!
-//! The seed offered an all-or-nothing choice:
-//! [`Execution::Sequential`](crate::Execution::Sequential) (every component
-//! cooperatively stepped on one core) or
-//! [`Execution::Threads`](crate::Execution::Threads) (one OS thread per
-//! component, the paper's one-process-per-simulator architecture). Neither matches the common case
-//! of N components ≫ N cores, where thread-per-component oversubscribes the
-//! machine and sequential leaves cores idle. This module schedules all
-//! kernels of an experiment over a fixed pool of workers (§5.5 scalability
-//! claim at local scale):
+//! [`Execution::Sequential`](crate::Execution::Sequential) steps every
+//! component cooperatively on one core, which leaves the other cores idle.
+//! One OS thread per component (the paper's one-process-per-simulator
+//! architecture) oversubscribes the machine in the common case of
+//! N components ≫ N cores. This module schedules all kernels of an
+//! experiment over a fixed pool of workers instead (§5.5 scalability claim
+//! at local scale):
 //!
 //! * **Sharding.** Components are split into contiguous shards, one per
 //!   worker. Each worker sweeps its own shard first, which keeps a kernel on
@@ -33,7 +31,7 @@
 //!
 //! Determinism: the executor only changes *when* (in wall-clock time) each
 //! kernel polls; the §5.5 protocol fixes *what* every kernel observes at
-//! every virtual time. Sequential, threaded, and sharded runs therefore
+//! every virtual time. Sequential and sharded runs therefore
 //! produce bit-identical event logs (asserted by
 //! `tests/integration_determinism.rs`).
 

@@ -40,14 +40,12 @@ struct Component {
 
 /// How to execute the components of an experiment.
 ///
-/// All three executors produce identical simulation results (bit-identical
-/// event logs); they differ only in how wall-clock resources are used. See
-/// `docs/ARCHITECTURE.md` for guidance on choosing one.
+/// Both executors produce identical simulation results (bit-identical
+/// event logs) and both can pause and snapshot a run; they differ only in
+/// how wall-clock resources are used. See `docs/ARCHITECTURE.md` for
+/// guidance on choosing one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Execution {
-    /// One OS thread per component simulator (the paper's architecture).
-    /// Best when components ≤ cores; oversubscribes the machine otherwise.
-    Threads,
     /// Cooperative round-robin on the calling thread (practical on machines
     /// with few cores; produces identical simulation results).
     Sequential,
@@ -63,13 +61,12 @@ pub enum Execution {
 }
 
 impl Execution {
-    /// Parse an executor selection string: `sequential`, `threads`,
-    /// `sharded` (auto worker count), or `sharded:N`.
+    /// Parse an executor selection string: `sequential`, `sharded` (auto
+    /// worker count), or `sharded:N`.
     pub fn parse(s: &str) -> Option<Execution> {
         let s = s.trim().to_ascii_lowercase();
         match s.as_str() {
             "sequential" | "seq" => Some(Execution::Sequential),
-            "threads" | "thread" => Some(Execution::Threads),
             "sharded" => Some(Execution::Sharded { workers: 0 }),
             _ => {
                 let n = s.strip_prefix("sharded:")?.parse().ok()?;
@@ -84,22 +81,35 @@ impl Execution {
     pub fn to_arg(self) -> String {
         match self {
             Execution::Sequential => "sequential".into(),
-            Execution::Threads => "threads".into(),
             Execution::Sharded { workers: 0 } => "sharded".into(),
             Execution::Sharded { workers } => format!("sharded:{workers}"),
         }
     }
 
     /// Executor selected by the `SIMBRICKS_EXEC` environment variable
-    /// (same syntax as [`Execution::parse`]), or `default` when unset or
-    /// unparseable.
+    /// (same syntax as [`Execution::parse`]), or `default` when unset. An
+    /// unparseable value also yields `default`, after one stderr line per
+    /// process naming the rejected value and the accepted ones.
     pub fn from_env_or(default: Execution) -> Execution {
-        std::env::var("SIMBRICKS_EXEC")
-            .ok()
-            .as_deref()
-            .and_then(Execution::parse)
-            .unwrap_or(default)
+        static WARNED: std::sync::Once = std::sync::Once::new();
+        let Ok(v) = std::env::var("SIMBRICKS_EXEC") else {
+            return default;
+        };
+        Execution::parse(&v).unwrap_or_else(|| {
+            WARNED.call_once(|| {
+                eprintln!(
+                    "SIMBRICKS_EXEC={v:?} is not an executor (accepted: {}); using {}",
+                    Execution::ACCEPTED,
+                    default.to_arg()
+                )
+            });
+            default
+        })
     }
+
+    /// The selection strings [`Execution::parse`] accepts, for help and
+    /// error messages.
+    pub const ACCEPTED: &'static str = "sequential | sharded | sharded:N";
 }
 
 /// Results of a completed experiment.
@@ -112,11 +122,6 @@ pub struct RunResult {
     pub component_names: Vec<String>,
     pub stats: Vec<KernelStats>,
     pub logs: Vec<EventLog>,
-    /// Encoded checkpoint container captured mid-run, when the experiment
-    /// was configured with [`Experiment::checkpoint_at`] (also written to
-    /// the configured path, if any). Distributed workers ship this blob to
-    /// the orchestrator over the control socket.
-    pub checkpoint: Option<Vec<u8>>,
     /// Checkpoint-ring entries captured mid-run (quiesce time, encoded
     /// container), newest last, already pruned to the configured `keep_n`.
     /// Populated when the experiment was configured with
@@ -190,9 +195,6 @@ pub struct Experiment {
     log_enabled: bool,
     external_inputs: bool,
     components: Vec<Component>,
-    /// Checkpoint request: quiesce at the given virtual time mid-run, encode
-    /// every component, optionally write the file, then continue.
-    checkpoint: Option<(SimTime, Option<PathBuf>)>,
     /// Checkpoint-ring request: quiesce at every multiple of the period,
     /// keeping only the newest `keep_n` entries (0 = keep all).
     ring: Option<(SimTime, usize)>,
@@ -221,10 +223,6 @@ pub struct Experiment {
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
 }
 
-fn self_stats(c: &Component) -> simbricks_base::KernelStats {
-    c.kernel.stats()
-}
-
 impl Experiment {
     /// Create an experiment simulating `end` of virtual time.
     pub fn new(name: impl Into<String>, end: SimTime) -> Self {
@@ -240,7 +238,6 @@ impl Experiment {
             log_enabled: false,
             external_inputs: false,
             components: Vec::new(),
-            checkpoint: None,
             ring: None,
             ring_dir: None,
             fp_epoch: None,
@@ -428,35 +425,21 @@ impl Experiment {
     // Checkpoint/restore
     // ------------------------------------------------------------------
 
-    /// Request a deterministic checkpoint: the run quiesces every component
-    /// at virtual time `at` (all events strictly below processed, nothing at
-    /// or beyond touched, in-flight channel messages drained into port
-    /// buffers), encodes the complete state, writes it to `path` (when
-    /// given; distributed workers pass `None` and ship the blob over the
-    /// control socket instead), and then **continues** to the configured end
-    /// time. The continuation — and any later run restored from the file —
-    /// is bit-identical to an uninterrupted run.
-    ///
-    /// Requires a synchronized experiment without the global barrier, run
-    /// under the sequential or sharded executor (the quiesce phase itself is
-    /// cooperative); `run` panics with a descriptive message otherwise.
-    pub fn checkpoint_at(&mut self, at: SimTime, path: Option<PathBuf>) {
-        assert!(
-            at < self.end,
-            "checkpoint time {at} must lie before the experiment end {}",
-            self.end
-        );
-        self.checkpoint = Some((at, path));
-    }
-
     /// Request a checkpoint ring: quiesce and snapshot at every multiple of
     /// `period` before the end time, keeping only the newest `keep_n`
-    /// entries (0 = keep all). Each entry is a complete SBCK container; the
-    /// continuation after every quiesce — and any run restored from any
-    /// entry — is bit-identical to an uninterrupted run. Same executor
-    /// constraints as [`Experiment::checkpoint_at`]. Entries land in
-    /// [`RunResult::ring`], and on disk when a directory is set via
-    /// [`Experiment::set_ring_dir`].
+    /// entries (0 = keep all). Each quiesce processes every event strictly
+    /// below the slot time, touches nothing at or beyond it, and drains
+    /// in-flight channel messages into port buffers; each entry is then a
+    /// complete SBCK container. The continuation after every quiesce — and
+    /// any run restored from any entry — is bit-identical to an
+    /// uninterrupted run. A one-shot checkpoint at `t` is a ring with period
+    /// `t` on a run ending before `2t`.
+    ///
+    /// Requires a synchronized experiment without the global barrier (the
+    /// quiesce is cooperative and single-threaded, so it works under every
+    /// executor); `run` panics with a descriptive message otherwise.
+    /// Entries land in [`RunResult::ring`], and on disk when a directory is
+    /// set via [`Experiment::set_ring_dir`].
     pub fn with_checkpoint_ring(mut self, period: SimTime, keep_n: usize) -> Self {
         self.set_checkpoint_ring(period, keep_n);
         self
@@ -554,8 +537,8 @@ impl Experiment {
     /// at or after the restore point and before the end) and leave the
     /// experiment frozen there for inspection via [`Experiment::kernel`] /
     /// [`Experiment::model_states`]. Returns the encoded SBCK container of
-    /// the frozen state. Same executor constraints as a checkpoint — the
-    /// quiesce is cooperative and single-threaded.
+    /// the frozen state. Same constraints as a checkpoint ring — the quiesce
+    /// is cooperative and single-threaded.
     pub fn freeze_at(&mut self, at: SimTime) -> SnapResult<Vec<u8>> {
         assert!(
             at < self.end,
@@ -568,8 +551,9 @@ impl Experiment {
         self.quiesce_and_encode(at)
     }
 
-    /// Restore this experiment from a checkpoint file previously written by
-    /// [`Experiment::checkpoint_at`]. Must be called after every component
+    /// Restore this experiment from a checkpoint file — a ring entry
+    /// ([`crate::ring_entry_path`]) written by a run configured with
+    /// [`Experiment::with_checkpoint_ring`]. Must be called after every component
     /// has been added, with the experiment rebuilt by the same build code
     /// (same names, topology, and parameters — mismatches are rejected).
     /// Returns the checkpoint's virtual time; a following [`Experiment::run`]
@@ -889,47 +873,14 @@ impl Experiment {
         }
 
         let start = Instant::now();
-        // Phase 1 (only with a checkpoint request): run cooperatively up to
-        // the checkpoint time, quiesce, encode, optionally write the file.
-        let checkpoint = match self.checkpoint.take() {
-            Some((at, path)) => {
-                assert!(
-                    mode != Execution::Threads,
-                    "checkpointing is supported under the sequential and sharded \
-                     executors (thread-per-component runs cannot be quiesced \
-                     cooperatively); restoring works under every executor"
-                );
-                let blob = match self.quiesce_and_encode(at) {
-                    Ok(b) => b,
-                    Err(e) => panic!("checkpoint of experiment '{}' failed: {e}", self.name),
-                };
-                if let Some(path) = path {
-                    if let Err(e) = crate::checkpoint::write_blob(&path, &blob) {
-                        panic!("writing checkpoint {}: {e}", path.display());
-                    }
-                }
-                Some(blob)
-            }
-            None => None,
-        };
-        // Phase 1b (only with a checkpoint ring): quiesce at every multiple
-        // of the period, encode, optionally write + prune on disk, keep the
+        // Checkpoint ring (when configured): quiesce at every multiple of
+        // the period, encode, optionally write + prune on disk, keep the
         // newest `keep_n` blobs in memory. Each quiesce is cooperative and
         // the continuation after it is bit-identical to not pausing at all,
         // so the tail of this very run doubles as the uninterrupted
         // baseline.
         let mut ring_blobs: Vec<(SimTime, Vec<u8>)> = Vec::new();
         if let Some((period, keep)) = self.ring {
-            assert!(
-                mode != Execution::Threads,
-                "checkpoint rings are supported under the sequential and sharded \
-                 executors (thread-per-component runs cannot be quiesced \
-                 cooperatively); restoring works under every executor"
-            );
-            assert!(
-                checkpoint.is_none(),
-                "checkpoint_at and with_checkpoint_ring cannot be combined"
-            );
             if let Some(dir) = &self.ring_dir {
                 if let Err(e) = std::fs::create_dir_all(dir) {
                     panic!("creating ring directory {}: {e}", dir.display());
@@ -968,10 +919,9 @@ impl Experiment {
                 slot += 1;
             }
         }
-        // Phase 2: run (or continue) under the requested executor.
+        // Run (or continue past the last slot) under the requested executor.
         match mode {
             Execution::Sequential => self.run_sequential(),
-            Execution::Threads => self.run_threads(),
             Execution::Sharded { workers } => self.run_sharded(workers),
         }
         let wall = start.elapsed();
@@ -996,7 +946,6 @@ impl Experiment {
             component_names: names,
             stats,
             logs,
-            checkpoint,
             ring: ring_blobs,
             models,
         }
@@ -1025,7 +974,6 @@ impl Experiment {
                     .store(frontier, std::sync::atomic::Ordering::Relaxed);
             }
             rounds = rounds.wrapping_add(1);
-            let mut all_finished = true;
             let mut any_progress = false;
             for (i, c) in self.components.iter_mut().enumerate() {
                 if finished[i] {
@@ -1040,30 +988,18 @@ impl Experiment {
                             self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
                         }
                     }
-                    StepOutcome::Progressed => {
-                        all_finished = false;
-                        any_progress = true;
-                    }
-                    StepOutcome::Blocked(_) => {
-                        all_finished = false;
-                    }
+                    StepOutcome::Progressed => any_progress = true,
                     // Pauses are handled by the dedicated quiesce loop; a
                     // kernel still paused here is waiting for clear_pause.
-                    StepOutcome::Paused => {
-                        all_finished = false;
-                    }
+                    StepOutcome::Blocked(_) | StepOutcome::Paused => {}
                 }
-            }
-            if all_finished && finished.iter().all(|f| *f) {
-                break;
             }
             if finished.iter().all(|f| *f) {
                 break;
             }
             if any_progress {
                 idle_rounds = 0;
-            }
-            if !any_progress {
+            } else {
                 if !self.synchronized {
                     // Emulation mode: components are waiting for the wall
                     // clock to allow their next event; just wait with them.
@@ -1090,7 +1026,7 @@ impl Experiment {
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| !finished[*i])
-                    .map(|(i, c)| format!("{}@{} {:?}", c.name, c.kernel.now(), self_stats(&self.components[i])))
+                    .map(|(_, c)| format!("{}@{} {:?}", c.name, c.kernel.now(), c.kernel.stats()))
                     .collect();
                 panic!(
                     "deadlock in experiment '{}': blocked components: {}",
@@ -1123,30 +1059,6 @@ impl Experiment {
             })
             .collect();
         crate::executor::run_sharded(units, opts, &stop, synchronized);
-    }
-
-    fn run_threads(&mut self) {
-        let stop = self.stop.clone();
-        let synchronized = self.synchronized;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for c in &mut self.components {
-                let kernel = &mut c.kernel;
-                let model = &mut c.model;
-                let stop = stop.clone();
-                handles.push(scope.spawn(move || {
-                    kernel.run(model.as_model());
-                    if !synchronized {
-                        // Emulation mode: the first component to finish ends
-                        // the run for everyone.
-                        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().expect("component thread panicked");
-            }
-        });
     }
 }
 
@@ -1222,20 +1134,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_execution_matches_sequential_results() {
-        let rs = build_pair(SimTime::from_ms(1), true).run(Execution::Sequential);
-        let rt = build_pair(SimTime::from_ms(1), true).run(Execution::Threads);
-        let ls: &Echoer = rs.model(0).unwrap();
-        let lt: &Echoer = rt.model(0).unwrap();
-        assert_eq!(ls.sent, lt.sent);
-        assert_eq!(ls.received, lt.received);
-        assert_eq!(
-            rs.stats[1].msgs_delivered, rt.stats[1].msgs_delivered,
-            "same deliveries regardless of executor"
-        );
-    }
-
-    #[test]
     fn sharded_execution_matches_sequential_results() {
         let rs = build_pair(SimTime::from_ms(1), true).run(Execution::Sequential);
         for workers in [1usize, 2, 4] {
@@ -1295,7 +1193,12 @@ mod tests {
     fn execution_parse_roundtrip() {
         assert_eq!(Execution::parse("sequential"), Some(Execution::Sequential));
         assert_eq!(Execution::parse("seq"), Some(Execution::Sequential));
-        assert_eq!(Execution::parse("Threads"), Some(Execution::Threads));
+        assert_eq!(Execution::parse("Sequential"), Some(Execution::Sequential));
+        assert_eq!(
+            Execution::parse("threads"),
+            None,
+            "thread-per-component was removed"
+        );
         assert_eq!(
             Execution::parse("sharded"),
             Some(Execution::Sharded { workers: 0 })
@@ -1308,7 +1211,6 @@ mod tests {
         assert_eq!(Execution::parse("sharded:x"), None);
         for e in [
             Execution::Sequential,
-            Execution::Threads,
             Execution::Sharded { workers: 0 },
             Execution::Sharded { workers: 8 },
         ] {

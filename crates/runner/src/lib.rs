@@ -1,9 +1,9 @@
 //! # simbricks-runner
 //!
 //! Orchestration for SimBricks simulations (§A.1 of the paper): experiments
-//! are assembled from component simulators and channels, then executed either
-//! with one thread per component (the paper's one-process-per-simulator
-//! architecture) or cooperatively on a single core, and the results (wall
+//! are assembled from component simulators and channels, then executed
+//! cooperatively on a single core, over a sharded worker-thread pool, or as
+//! one OS process per partition, and the results (wall
 //! clock simulation time, per-component statistics, event logs, application
 //! reports) are collected for the evaluation harness.
 
@@ -29,8 +29,8 @@ pub mod transport;
 
 pub use build::{attach_host_nic, attach_host_nvme, host_component, nic_model, NetworkKind};
 pub use checkpoint::{
-    prune_ring, ring_entries, ring_entry_path, ring_prune_plan, write_blob, CheckpointFile,
-    RingMeta, CKPT_MAGIC, CKPT_VERSION, RING_META_FILE, RING_SCENARIO_FILE,
+    prune_ring, read_ring_sidecars, ring_entries, ring_entry_path, ring_prune_plan, write_blob,
+    write_ring_sidecars, CheckpointFile, RingMeta, CKPT_MAGIC, CKPT_VERSION, RING_META_FILE, RING_SCENARIO_FILE,
 };
 pub use dist::{
     maybe_worker, run_distributed, run_local, DistError, DistOptions, DistResult, FaultKind,

@@ -3,7 +3,7 @@
 //! ```text
 //! simbricks-run <scenario.toml> [options]
 //!   --validate              parse + validate only (multiple files allowed)
-//!   --exec <mode>           sequential | threads | sharded[:N] | dist
+//!   --exec <mode>           sequential | sharded[:N] | dist[:<mode>]
 //!                           (default: the scenario's [run] exec)
 //!   --transport <t>         tcp | shm | auto  (dist only)
 //!   --sweep key=v1,v2,...   sweep a field over values; repeatable flags
@@ -42,8 +42,8 @@ use simbricks_base::SimTime;
 use simbricks_hostsim::HostModel;
 use simbricks_netsim::SwitchBm;
 use simbricks_runner::{
-    maybe_worker, run_distributed, DistError, DistOptions, Execution, PartitionBuilder, RingMeta,
-    RingOptions, TransportKind, RING_SCENARIO_FILE,
+    maybe_worker, run_distributed, write_ring_sidecars, DistError, DistOptions, Execution,
+    PartitionBuilder, RingMeta, RingOptions, TransportKind,
 };
 use simbricks_scenario::{build_from_toml, fault_schedule, lower, parse_duration, Doc, Scenario, Value};
 
@@ -393,16 +393,14 @@ impl RunRecord {
 
 /// Write a recorded ring's sidecar files: metadata plus the exact scenario
 /// text that produced it, so `simbricks-replay` can rebuild the experiment.
-fn write_ring_sidecars(ring: &RingCli, text: &str, spec: &Scenario) -> Result<(), String> {
+fn ring_sidecars(ring: &RingCli, text: &str, spec: &Scenario) -> Result<(), String> {
     let meta = RingMeta {
         name: spec.name.clone(),
         period: ring.period,
         keep: ring.keep,
         end: spec.duration.saturating_add(spec.end_margin),
     };
-    meta.write_to(&ring.dir).map_err(|e| e.to_string())?;
-    let path = ring.dir.join(RING_SCENARIO_FILE);
-    std::fs::write(&path, text).map_err(|e| format!("write {}: {e}", path.display()))
+    write_ring_sidecars(&ring.dir, &meta, text).map_err(|e| e.to_string())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -426,7 +424,12 @@ fn run_one(
         let inner = exec_str
             .strip_prefix("dist:")
             .map(|s| {
-                Execution::parse(s).ok_or_else(|| format!("bad executor after dist: `{s}`"))
+                Execution::parse(s).ok_or_else(|| {
+                    format!(
+                        "bad executor after dist: `{s}` (accepted: {})",
+                        Execution::ACCEPTED
+                    )
+                })
             })
             .transpose()?
             .unwrap_or(Execution::Sequential);
@@ -457,7 +460,6 @@ fn run_one(
             exec: inner,
             transport,
             worker_args: Vec::new(),
-            checkpoint: None,
             restore_from: None,
             ring: ring.map(|r| RingOptions {
                 period: r.period,
@@ -478,7 +480,7 @@ fn run_one(
             }
         };
         if let Some(ring) = ring {
-            write_ring_sidecars(ring, text, spec)?;
+            ring_sidecars(ring, text, spec)?;
         }
         let fp = r.merged_log().fingerprint();
         if !quiet {
@@ -508,21 +510,22 @@ fn run_one(
             spec.faults.len()
         ));
     }
-    let exec = Execution::parse(exec_str)
-        .ok_or_else(|| format!("unknown executor `{exec_str}` (sequential, threads, sharded[:N], dist)"))?;
+    let exec = Execution::parse(exec_str).ok_or_else(|| {
+        format!(
+            "unknown executor `{exec_str}` (accepted: {} | dist[:<mode>])",
+            Execution::ACCEPTED
+        )
+    })?;
     let mut pb = PartitionBuilder::new_local();
     let low = lower(spec, &mut pb);
     let mut exp = pb.into_experiment();
     if let Some(ring) = ring {
-        if exec == Execution::Threads {
-            return Err("checkpoint rings need the sequential or sharded executor".into());
-        }
         exp.set_checkpoint_ring(ring.period, ring.keep);
         exp.set_ring_dir(ring.dir.clone());
     }
     let r = exp.run(exec);
     if let Some(ring) = ring {
-        write_ring_sidecars(ring, text, spec)?;
+        ring_sidecars(ring, text, spec)?;
     }
     let fp = r.merged_log().fingerprint();
     let mut hosts = Vec::new();

@@ -3,13 +3,15 @@
 //! A checkpoint taken mid-run must be invisible: the checkpointing run's own
 //! continuation AND a later run restored from the file must both produce
 //! event logs bit-identical (fingerprint *and* every entry) to an
-//! uninterrupted run. The matrix covers
+//! uninterrupted run. Checkpoints are checkpoint-ring entries: a ring whose
+//! period is the checkpoint time yields exactly one entry on these 6 ms
+//! runs. The matrix covers
 //!
 //! * executors: sequential, sharded with 1/2/4 workers, and true 2-process
 //!   distributed runs over both channel transports (tcp, shm);
 //! * workloads: netperf (TCP stream + RR) and memcached/memaslap (UDP KV).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use simbricks::apps::{MemaslapClient, MemcachedServer, NetperfClient, NetperfServer};
 use simbricks::base::{EventLog, SnapError};
@@ -17,7 +19,7 @@ use simbricks::hostsim::{Application, HostConfig, HostKind};
 use simbricks::netsim::{SwitchBm, SwitchConfig};
 use simbricks::netstack::SocketAddr;
 use simbricks::runner::dist::{self, DistOptions, PartitionBuilder};
-use simbricks::runner::{attach_host_nic, Execution, Experiment, TransportKind};
+use simbricks::runner::{attach_host_nic, ring_entry_path, Execution, Experiment, TransportKind};
 use simbricks::SimTime;
 
 /// Virtual end of every experiment in this matrix.
@@ -103,6 +105,19 @@ fn tmp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("simbricks-ckpt-{}-{tag}", std::process::id()))
 }
 
+/// Run `exp` under `exec` while recording a one-entry checkpoint ring (the
+/// period is the checkpoint time) into `dir`; returns the run's merged log
+/// and the path of the entry.
+fn run_checkpointing(mut exp: Experiment, exec: Execution, dir: &Path) -> (EventLog, PathBuf) {
+    exp.set_checkpoint_ring(ckpt_time(), 1);
+    exp.set_ring_dir(dir.to_path_buf());
+    let r = exp.run(exec);
+    assert_eq!(r.ring.len(), 1, "a single checkpoint captured");
+    let entry = ring_entry_path(dir, ckpt_time());
+    assert!(entry.is_file(), "checkpoint written to {}", entry.display());
+    (r.merged_log(), entry)
+}
+
 /// The in-process matrix: {sequential, sharded×{1,2,4}} × {netperf, memcache}.
 /// For every combination, (a) a run that checkpoints mid-way and continues
 /// and (b) a fresh run restored from that checkpoint both reproduce the
@@ -124,15 +139,12 @@ fn checkpoint_restore_matrix_in_process() {
         ];
         for (ename, exec) in execs {
             let label = format!("{}/{ename}", workload.name());
-            let path = tmp_path(&format!("{}-{ename}.ckpt", workload.name()));
+            let dir = tmp_path(&format!("{}-{ename}", workload.name()));
 
             // (a) Checkpoint mid-run, continue to the end: the pause must be
             // invisible in the continuation.
-            let mut exp = build(workload);
-            exp.checkpoint_at(ckpt_time(), Some(path.clone()));
-            let r = exp.run(exec);
-            assert!(r.checkpoint.is_some(), "checkpoint captured ({label})");
-            assert_logs_identical(&r.merged_log(), &baseline, &format!("{label} ckpt-run"));
+            let (log, path) = run_checkpointing(build(workload), exec, &dir);
+            assert_logs_identical(&log, &baseline, &format!("{label} ckpt-run"));
 
             // (b) Restore from the file into a freshly built experiment and
             // run the continuation under the same executor.
@@ -142,7 +154,7 @@ fn checkpoint_restore_matrix_in_process() {
             let r2 = exp.run(exec);
             assert_logs_identical(&r2.merged_log(), &baseline, &format!("{label} restored"));
 
-            let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -151,10 +163,8 @@ fn checkpoint_restore_matrix_in_process() {
 /// restored experiment reports the application results of the full run.
 #[test]
 fn restore_rejects_wrong_experiment() {
-    let path = tmp_path("wrong-exp.ckpt");
-    let mut exp = build(Workload::Netperf);
-    exp.checkpoint_at(ckpt_time(), Some(path.clone()));
-    let _ = exp.run(Execution::Sequential);
+    let dir = tmp_path("wrong-exp");
+    let (_, path) = run_checkpointing(build(Workload::Netperf), Execution::Sequential, &dir);
     // Different experiment (name differs): clear error, not UB.
     let mut other = build(Workload::Memcache);
     match other.restore(&path) {
@@ -163,14 +173,15 @@ fn restore_rejects_wrong_experiment() {
         }
         other => panic!("expected Corrupt(name mismatch), got {other:?}"),
     }
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
 // Distributed matrix: the same workloads split into two partitions (server +
 // switch in p0, client in p1) running as two worker OS processes, for both
-// channel transports. Checkpoints are written one file per partition and
-// exchanged over the control protocol.
+// channel transports. Workers stream their partition's ring snapshots over
+// the control protocol; the orchestrator merges them into whole-experiment
+// ring entries, and a restore splits an entry back per partition.
 // ---------------------------------------------------------------------------
 
 /// Dist-aware build shared by the in-process baseline, discovery, and the
@@ -225,12 +236,12 @@ fn dist_matrix_for(transport: TransportKind) {
         assert!(baseline.len() > 100, "baseline has events");
         let dir = tmp_path(&format!("dist-{}-{}", workload.name(), transport.to_arg()));
 
-        // Checkpointing 2-process run: per-partition snapshot files written
-        // through the control protocol; continuation bit-identical.
+        // Checkpointing 2-process run: a one-entry ring merged from both
+        // partitions' snapshots; continuation bit-identical.
         let d1 = dist::run_distributed(
             &dist_opts(&scenario)
                 .with_transport(transport)
-                .with_checkpoint(ckpt_time(), dir.clone()),
+                .with_checkpoint_ring(ckpt_time(), 1, dir.clone()),
             &dist_build,
         )
         .expect("distributed checkpoint run");
@@ -239,15 +250,13 @@ fn dist_matrix_for(transport: TransportKind) {
             &baseline,
             &format!("dist-{}-{} ckpt-run", workload.name(), transport.to_arg()),
         );
-        for p in ["p0", "p1"] {
-            assert!(
-                dir.join(format!("{p}.ckpt")).is_file(),
-                "one region file per partition ({p})"
-            );
-        }
+        assert!(
+            ring_entry_path(&dir, ckpt_time()).is_file(),
+            "merged ring entry written"
+        );
 
-        // Restored 2-process run: resumes from the per-partition files and
-        // reproduces the remainder bit for bit.
+        // Restored 2-process run: resumes from the ring entry, split per
+        // partition, and reproduces the remainder bit for bit.
         let d2 = dist::run_distributed(
             &dist_opts(&scenario)
                 .with_transport(transport)
@@ -280,4 +289,48 @@ fn checkpoint_restore_matrix_dist_shm() {
         return;
     }
     dist_matrix_for(TransportKind::Shm);
+}
+
+/// A distributed restore from a ring directory whose newest entry is
+/// corrupt falls back to the next older entry, records the rejection, and
+/// still reproduces the uninterrupted run. The ring is recorded by a local
+/// run, so this also restores a whole-experiment container split per
+/// partition.
+#[test]
+fn dist_restore_skips_a_corrupt_newest_ring_entry() {
+    let scenario = "wl=netperf";
+    let baseline = dist::run_local(scenario, &dist_build, Execution::Sequential).merged_log();
+    let dir = tmp_path("dist-restore-fallback");
+    let period = SimTime::from_ms(1);
+    let mut pb = PartitionBuilder::new_local();
+    dist_build(scenario, &mut pb);
+    let mut exp = pb.into_experiment().with_checkpoint_ring(period, 0);
+    exp.set_ring_dir(dir.clone());
+    let _ = exp.run(Execution::Sequential);
+
+    let newest = ring_entry_path(&dir, SimTime::from_ms(5));
+    let mut bytes = std::fs::read(&newest).expect("newest ring entry");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&newest, &bytes).expect("corrupt newest entry");
+
+    let d = dist::run_distributed(&dist_opts(scenario).with_restore(dir.clone()), &dist_build)
+        .expect("distributed restore run");
+    assert_logs_identical(
+        &d.merged_log(),
+        &baseline,
+        "dist restore past a corrupt entry",
+    );
+    let rejected = &d.recovery.rejected_entries;
+    assert_eq!(
+        rejected.len(),
+        1,
+        "exactly the corrupt entry is rejected: {rejected:?}"
+    );
+    let name = newest.file_name().unwrap().to_str().unwrap();
+    assert!(
+        rejected[0].contains(name),
+        "rejection names {name}: {rejected:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -22,7 +22,7 @@ use simbricks::base::{EventLog, LogEntry};
 use simbricks::hostsim::{HostConfig, HostKind};
 use simbricks::netsim::{SwitchBm, SwitchConfig};
 use simbricks::runner::dist::{self, DistOptions, PartitionBuilder};
-use simbricks::runner::{Execution, Experiment, RingMeta, TransportKind, RING_SCENARIO_FILE};
+use simbricks::runner::{write_ring_sidecars, Execution, Experiment, RingMeta, TransportKind};
 use simbricks::scenario::build_from_toml;
 use simbricks::SimTime;
 use simbricks_replay::{record_ring, Replay, SeekState, Side};
@@ -429,10 +429,13 @@ fn dist_ring_matrix_for(transport: TransportKind) {
 
     // The orchestrator does not know the scenario semantics, so the harness
     // writes the sidecars the replayer needs (simbricks-run does the same).
-    RingMeta { name: "replay-dist".into(), period, keep: 0, end: dist_end_time() }
-        .write_to(&dir)
-        .expect("write ring meta");
-    std::fs::write(dir.join(RING_SCENARIO_FILE), "").expect("write scenario sidecar");
+    let meta = RingMeta {
+        name: "replay-dist".into(),
+        period,
+        keep: 0,
+        end: dist_end_time(),
+    };
+    write_ring_sidecars(&dir, &meta, "").expect("write ring sidecars");
 
     let ring = Replay::open_with(&dir, dist_build).expect("open dist ring");
     assert_eq!(ring.entries().len(), 5, "slots at every 500 us below 3 ms");

@@ -10,7 +10,7 @@ use simbricks::apps::{NetperfClient, NetperfServer};
 use simbricks::hostsim::{HostConfig, HostKind};
 use simbricks::netsim::{SwitchBm, SwitchConfig};
 use simbricks::runner::dist::{self, DistOptions, PartitionBuilder};
-use simbricks::runner::{attach_host_nic, Execution, Experiment, TransportKind};
+use simbricks::runner::{attach_host_nic, ring_entry_path, Execution, Experiment, TransportKind};
 use simbricks::scenario::{build_from_toml, lower, Scenario};
 use simbricks::SimTime;
 
@@ -109,9 +109,10 @@ fn impaired_codel_scenario_survives_checkpoint_restore() {
     let full = r_full.merged_log();
     assert!(full.len() > 100, "logs actually contain events ({})", full.len());
 
-    let path = std::env::temp_dir().join(format!("scenario-ckpt-{}.ckpt", std::process::id()));
-    let mut exp = build();
-    exp.checkpoint_at(SimTime::from_us(150), Some(path.clone()));
+    let at = SimTime::from_us(150);
+    let dir = std::env::temp_dir().join(format!("scenario-ring-{}", std::process::id()));
+    let mut exp = build().with_checkpoint_ring(at, 0);
+    exp.set_ring_dir(dir.clone());
     let r_ck = exp.run(Execution::Sequential);
     let ck = r_ck.merged_log();
     assert_eq!(
@@ -121,8 +122,10 @@ fn impaired_codel_scenario_survives_checkpoint_restore() {
     );
 
     let mut exp = build();
-    let at = exp.restore(&path).expect("restore checkpoint");
-    assert_eq!(at, SimTime::from_us(150));
+    let restored = exp
+        .restore(&ring_entry_path(&dir, at))
+        .expect("restore checkpoint");
+    assert_eq!(restored, at);
     let r_re = exp.run(Execution::Sequential);
     let re = r_re.merged_log();
     assert_eq!(
@@ -130,7 +133,7 @@ fn impaired_codel_scenario_survives_checkpoint_restore() {
         (re.fingerprint(), re.len()),
         "restored run diverged"
     );
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------

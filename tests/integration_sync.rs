@@ -88,7 +88,7 @@ fn hier_sync_same_traffic_fewer_syncs() {
 }
 
 #[test]
-fn threaded_and_sequential_executors_agree() {
+fn sharded_and_sequential_executors_agree() {
     let run = |mode| {
         let mut exp = Experiment::new("exec", SimTime::from_ms(4));
         let server_cfg = HostConfig::new(HostKind::QemuTiming, 0);
@@ -111,5 +111,8 @@ fn threaded_and_sequential_executors_agree() {
         let server: &HostModel = r.model(s).unwrap();
         server.stats().rx_frames
     };
-    assert_eq!(run(Execution::Sequential), run(Execution::Threads));
+    assert_eq!(
+        run(Execution::Sequential),
+        run(Execution::Sharded { workers: 2 })
+    );
 }
