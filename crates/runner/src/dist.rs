@@ -2292,11 +2292,15 @@ fn supervise(
             }
             f.fired = true;
             let threshold = f.spec.at.as_ps();
+            // When the supervisor notices the crossing depends on heartbeat
+            // timing, so it goes to stderr, not into the (reproducible)
+            // report.
+            eprintln!("dist: injecting the fault due at {threshold} ps, fleet at {min_virt} ps");
             match &f.spec.kind {
                 FaultKind::KillWorker { partition } => {
-                    report.faults_injected.push(format!(
-                        "kill_worker {partition:?} at {threshold} ps (fleet at {min_virt} ps)"
-                    ));
+                    report
+                        .faults_injected
+                        .push(format!("kill_worker {partition:?} at {threshold} ps"));
                     for (name, child) in &mut guard.children {
                         if name == partition {
                             let _ = child.kill();
@@ -2304,9 +2308,9 @@ fn supervise(
                     }
                 }
                 FaultKind::SeverLink { link } => {
-                    report.faults_injected.push(format!(
-                        "sever_link {link:?} at {threshold} ps (fleet at {min_virt} ps)"
-                    ));
+                    report
+                        .faults_injected
+                        .push(format!("sever_link {link:?} at {threshold} ps"));
                     let ends: Vec<String> = disc
                         .links
                         .iter()
@@ -2335,7 +2339,7 @@ fn supervise(
                     match newest {
                         Some(at) => {
                             report.faults_injected.push(format!(
-                                "{label} ring slot at {at} ps (injected at {min_virt} ps)"
+                                "{label} ring slot at {at} ps (due at {threshold} ps)"
                             ));
                             if let Some(parts) = ring_store.get_mut(&at) {
                                 for blob in parts.values_mut() {
@@ -2354,7 +2358,7 @@ fn supervise(
                             }
                         }
                         None => report.faults_injected.push(format!(
-                            "{label}: no complete ring slot to damage (fleet at {min_virt} ps)"
+                            "{label}: no complete ring slot to damage (due at {threshold} ps)"
                         )),
                     }
                 }
