@@ -4,8 +4,14 @@
 //! cache-line aligned message slots. The control byte of each slot encodes
 //! the current owner (producer or consumer) in its top bit and the message
 //! type in the remaining seven bits. Producer and consumer communicate only
-//! through this control byte plus the slot payload, so all cache-coherence
-//! traffic carries useful data.
+//! through this control byte plus the slot header and payload, so all
+//! cache-coherence traffic carries useful data.
+//!
+//! A `Slot` here is only the control record: the control byte and the
+//! header (timestamp, length) share one cache line, so a SYNC message or a
+//! timestamp peek touches a single line. Payload bytes live out of line in
+//! the queue's payload arena (see [`crate::spsc`]), one [`MAX_PAYLOAD`]
+//! region per slot, handed over by the same control-byte protocol.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -17,7 +23,7 @@ use crate::time::SimTime;
 ///
 /// Sized so a jumbo Ethernet frame (the paper's 4000 B MTU dctcp experiment),
 /// a 4 KiB DMA burst, or an 8 KiB TSO super-segment DMA completion fits
-/// inline. Larger transfers must be split by the sender.
+/// in one slot. Larger transfers must be split by the sender.
 pub const MAX_PAYLOAD: usize = 9216;
 
 /// Message type values `0..=127`. Type `0` is reserved for SYNC messages.
@@ -42,29 +48,29 @@ pub(crate) struct SlotHeader {
     _pad: u32,
 }
 
-/// One queue slot. Aligned to two cache lines to avoid false sharing between
-/// neighbouring slots' control bytes on typical 64 B cache line machines.
+/// One queue slot's control record: control byte and header. Aligned to two
+/// cache lines to avoid false sharing between neighbouring slots' control
+/// bytes on typical 64 B cache line machines. The payload lives in the
+/// queue's out-of-line arena.
 #[repr(C, align(128))]
 pub(crate) struct Slot {
-    pub header: UnsafeCell<SlotHeader>,
-    pub payload: UnsafeCell<[u8; MAX_PAYLOAD]>,
     /// Owner bit plus message type, written last by the producer with release
     /// ordering and read first by the consumer with acquire ordering.
     pub ctrl: AtomicU8,
+    pub header: UnsafeCell<SlotHeader>,
 }
 
-// Safety: access to `header`/`payload` is serialized by the `ctrl` ownership
-// protocol (acquire/release on the control byte), exactly as described in
-// §A.2 of the paper.
+// SAFETY: access to `header` (and to the slot's arena payload region) is
+// serialized by the `ctrl` ownership protocol (acquire/release on the
+// control byte), exactly as described in §A.2 of the paper.
 unsafe impl Sync for Slot {}
 unsafe impl Send for Slot {}
 
 impl Slot {
     pub(crate) fn new() -> Self {
         Slot {
-            header: UnsafeCell::new(SlotHeader::default()),
-            payload: UnsafeCell::new([0u8; MAX_PAYLOAD]),
             ctrl: AtomicU8::new(0),
+            header: UnsafeCell::new(SlotHeader::default()),
         }
     }
 
@@ -262,6 +268,6 @@ mod tests {
     #[test]
     fn slot_is_cache_line_aligned() {
         assert_eq!(std::mem::align_of::<Slot>(), 128);
-        assert!(std::mem::size_of::<Slot>() >= MAX_PAYLOAD);
+        assert!(std::mem::size_of::<Slot>() <= 128);
     }
 }

@@ -2,11 +2,23 @@
 //!
 //! The queue is a circular array of fixed-size slots. The producer keeps the
 //! tail index locally, the consumer keeps the head index locally; the only
-//! shared state is the per-slot control byte and payload, which minimizes
+//! shared state is the per-slot control record and payload, which minimizes
 //! cache coherence traffic. This mirrors the shared-memory queue layout of
 //! the original SimBricks implementation; here the "shared memory segment" is
 //! a heap allocation shared between two threads via `Arc`.
+//!
+//! ## Layout
+//!
+//! Slots are dense 128-byte control records (control byte plus timestamp
+//! and length header, see [`crate::slot`]), so a SYNC message or a timestamp
+//! peek touches one cache line. Payloads live out of line in one zeroed
+//! arena of `len × MAX_PAYLOAD` bytes: slot `i`'s payload is the region at
+//! `i × MAX_PAYLOAD`. The arena comes from `alloc_zeroed`, so the OS faults
+//! its pages in only when a data message first lands in them; a channel that
+//! only ever carries SYNCs costs its `len × 128` control bytes. Capacity is
+//! still counted in slots, each taking up to [`MAX_PAYLOAD`] bytes.
 
+use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -19,6 +31,10 @@ pub const DEFAULT_QUEUE_LEN: usize = 64;
 
 struct Shared {
     slots: Box<[Slot]>,
+    /// Payload arena, `slots.len() × MAX_PAYLOAD` bytes. Only ever accessed
+    /// through raw pointers into one slot's region, by whichever side owns
+    /// that slot's control byte.
+    payload: *mut u8,
     /// Set when the producer is dropped, letting the consumer distinguish
     /// "no message yet" from "peer is gone".
     producer_closed: AtomicBool,
@@ -26,12 +42,50 @@ struct Shared {
     consumer_closed: AtomicBool,
 }
 
+// SAFETY: the arena pointer is owned by `Shared` (freed in `Drop`), and each
+// slot's payload region is accessed only by the side that owns the slot's
+// control byte, handed over with release/acquire ordering (§A.2).
+unsafe impl Send for Shared {}
+unsafe impl Sync for Shared {}
+
+impl Shared {
+    /// Arena layout for `slots` slots. Byte alignment keeps the system
+    /// allocator on its `calloc` path, which maps fresh zero pages instead
+    /// of writing them.
+    fn arena_layout(slots: usize) -> Layout {
+        Layout::array::<u8>(slots * MAX_PAYLOAD).expect("payload arena size overflows")
+    }
+
+    /// Start of slot `i`'s payload region. Dereferencing it is sound only
+    /// for `i < slots.len()`, by the side that owns slot `i`.
+    #[inline]
+    fn payload_ptr(&self, i: usize) -> *mut u8 {
+        debug_assert!(i < self.slots.len());
+        self.payload.wrapping_add(i * MAX_PAYLOAD)
+    }
+}
+
+impl Drop for Shared {
+    fn drop(&mut self) {
+        // SAFETY: `payload` came from `alloc_zeroed` with this same layout
+        // and both endpoints (the only users) are gone.
+        unsafe { dealloc(self.payload, Self::arena_layout(self.slots.len())) }
+    }
+}
+
 /// Create a new SPSC queue with `len` slots, returning its two endpoints.
 pub fn queue(len: usize) -> (Producer, Consumer) {
     assert!(len >= 2, "queue needs at least two slots");
     let slots: Vec<Slot> = (0..len).map(|_| Slot::new()).collect();
+    let layout = Shared::arena_layout(len);
+    // SAFETY: `layout` has non-zero size (`len >= 2`).
+    let payload = unsafe { alloc_zeroed(layout) };
+    if payload.is_null() {
+        handle_alloc_error(layout);
+    }
     let shared = Arc::new(Shared {
         slots: slots.into_boxed_slice(),
+        payload,
         producer_closed: AtomicBool::new(false),
         consumer_closed: AtomicBool::new(false),
     });
@@ -87,14 +141,21 @@ impl Producer {
         if !slot.producer_owned() {
             return Err(SendError::Full);
         }
-        // Safety: we own the slot (checked above with acquire ordering) and
-        // are the only producer.
+        // SAFETY: we own the slot (checked above with acquire ordering) and
+        // are the only producer, so its header and its `MAX_PAYLOAD`-byte
+        // arena region are ours until `publish` hands them over with release
+        // ordering. `self.tail` just indexed `slots`, so the region lies in
+        // the arena, and `payload.len() <= MAX_PAYLOAD` keeps the copy
+        // inside it.
         unsafe {
             let hdr = &mut *slot.header.get();
             hdr.timestamp = timestamp.as_ps();
             hdr.len = payload.len() as u32;
-            let dst = &mut *slot.payload.get();
-            dst[..payload.len()].copy_from_slice(payload);
+            std::ptr::copy_nonoverlapping(
+                payload.as_ptr(),
+                self.shared.payload_ptr(self.tail),
+                payload.len(),
+            );
         }
         slot.publish(ty);
         self.tail += 1;
@@ -160,16 +221,25 @@ impl Consumer {
         if !slot.consumer_owned() {
             return None;
         }
-        let msg = unsafe {
-            let hdr = *slot.header.get();
-            let payload = &*slot.payload.get();
-            let data = if hdr.len == 0 {
-                PktBuf::empty()
-            } else {
-                self.pool.copy_from_slice(&payload[..hdr.len as usize])
-            };
-            OwnedMsg::new(SimTime::from_ps(hdr.timestamp), slot.msg_type(), data)
+        // SAFETY: the consumer owns the slot (acquire load above pairs with
+        // the producer's release `publish`), so the header and the arena
+        // region are fully written and the producer will not touch them
+        // until `release`.
+        let hdr = unsafe { *slot.header.get() };
+        let len = hdr.len as usize;
+        assert!(len <= MAX_PAYLOAD, "slot length {len} exceeds MAX_PAYLOAD");
+        let data = if len == 0 {
+            PktBuf::empty()
+        } else {
+            // SAFETY: as above, the region is ours and initialized (the
+            // arena is zeroed and the producer wrote the first `len` bytes).
+            // `self.head` just indexed `slots`, so the region lies in the
+            // arena, and `len <= MAX_PAYLOAD` keeps the slice inside it.
+            let payload =
+                unsafe { std::slice::from_raw_parts(self.shared.payload_ptr(self.head), len) };
+            self.pool.copy_from_slice(payload)
         };
+        let msg = OwnedMsg::new(SimTime::from_ps(hdr.timestamp), slot.msg_type(), data);
         slot.release();
         self.head += 1;
         if self.head == self.shared.slots.len() {
@@ -185,6 +255,8 @@ impl Consumer {
         if !slot.consumer_owned() {
             return None;
         }
+        // SAFETY: the consumer owns the slot (acquire load above), so the
+        // header is fully written and stable until `release`.
         let ts = unsafe { (*slot.header.get()).timestamp };
         Some(SimTime::from_ps(ts))
     }
@@ -278,6 +350,33 @@ mod tests {
         );
         let exact = vec![0u8; MAX_PAYLOAD];
         assert!(p.try_send(SimTime::ZERO, 1, &exact).is_ok());
+    }
+
+    /// Full-size payloads in every slot, through two wraps: each region is
+    /// checked byte for byte, so overlapping neighbours (or a last region
+    /// running past the arena) would corrupt a pattern.
+    #[test]
+    fn full_payload_regions_do_not_overlap() {
+        let pattern = |seq: u64| -> Vec<u8> {
+            (0..MAX_PAYLOAD)
+                .map(|i| (seq as u8).wrapping_mul(37) ^ (i as u8) ^ ((i >> 8) as u8))
+                .collect()
+        };
+        let (mut p, mut c) = queue(4);
+        let mut seq = 0u64;
+        for _round in 0..3 {
+            let first = seq;
+            while p.try_send(SimTime::from_ps(seq), 1, &pattern(seq)).is_ok() {
+                seq += 1;
+            }
+            assert_eq!(seq - first, 4, "every slot takes a full payload");
+            for want in first..seq {
+                let m = c.try_recv().unwrap();
+                assert_eq!(m.timestamp, SimTime::from_ps(want));
+                assert!(m.data[..] == pattern(want)[..], "payload {want} corrupted");
+            }
+            assert!(c.try_recv().is_none());
+        }
     }
 
     #[test]

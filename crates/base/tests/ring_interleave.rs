@@ -9,14 +9,15 @@
 //! 2. Two genuinely concurrent stress tests (real threads, seeded
 //!    pseudo-random pacing) that double as the ThreadSanitizer targets for
 //!    the nightly TSan CI job: any missing release/acquire edge on the
-//!    control byte shows up as a data race on the slot header/payload.
+//!    control byte shows up as a data race on the slot header or on the
+//!    slot's payload-arena region.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use simbricks_base::spsc::{queue, SendError};
-use simbricks_base::SimTime;
+use simbricks_base::{SimTime, MAX_PAYLOAD};
 
 /// Deterministic pacing for the stress tests (never `thread_rng`: the test
 /// itself must be reproducible).
@@ -29,9 +30,19 @@ impl Lcg {
     }
 }
 
+/// Message body for sequence `seq`: empty (SYNC-like) through 256 B, except
+/// that every 97th sequence fills its slot's whole payload region
+/// (`MAX_PAYLOAD`, alternating with `MAX_PAYLOAD - 1`), so both ends of each
+/// arena region are written and read across threads.
 fn payload_for(seq: u64) -> Vec<u8> {
-    let len = (seq % 257) as usize; // covers empty (SYNC-like) through 256 B
-    (0..len).map(|i| (seq as u8).wrapping_mul(31).wrapping_add(i as u8)).collect()
+    let len = if seq.is_multiple_of(97) {
+        MAX_PAYLOAD - (seq / 97 % 2) as usize
+    } else {
+        (seq % 257) as usize
+    };
+    (0..len)
+        .map(|i| (seq as u8).wrapping_mul(31).wrapping_add(i as u8) ^ (i >> 8) as u8)
+        .collect()
 }
 
 /// Enumerate every interleaving of `ops` producer attempts and `ops`

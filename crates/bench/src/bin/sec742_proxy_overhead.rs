@@ -180,7 +180,7 @@ fn micro_shm_ns() -> f64 {
             a.push(&msg).expect("ring sized for a full batch");
         }
         for _ in 0..MICRO_BATCH {
-            let m = b.pop().expect("all pushed");
+            let m = b.pop().expect("well-formed slot").expect("all pushed");
             assert_eq!(m.data.len(), MICRO_PAYLOAD);
         }
         sent += MICRO_BATCH;

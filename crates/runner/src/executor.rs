@@ -68,18 +68,30 @@ impl Default for ShardedOptions {
 }
 
 /// Worker count used when none is configured: `SIMBRICKS_WORKERS` if set,
-/// otherwise the machine's available parallelism.
+/// otherwise the machine's available parallelism. A value that is not a
+/// positive integer also yields the machine's parallelism, after one stderr
+/// line per process naming the rejected value.
 pub fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("SIMBRICKS_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+    static WARNED: std::sync::Once = std::sync::Once::new();
+    let env = std::env::var("SIMBRICKS_WORKERS").ok();
+    if let Some(n) = env.as_deref().and_then(parse_workers) {
+        return n;
     }
-    std::thread::available_parallelism()
+    let n = std::thread::available_parallelism()
         .map(|n| n.get())
-        .unwrap_or(1)
+        .unwrap_or(1);
+    if let Some(v) = env {
+        WARNED.call_once(|| {
+            eprintln!("SIMBRICKS_WORKERS={v:?} is not a positive worker count; using {n}")
+        });
+    }
+    n
+}
+
+/// A `SIMBRICKS_WORKERS` value as a worker count: a positive integer,
+/// surrounding whitespace allowed. `None` for anything else.
+fn parse_workers(v: &str) -> Option<usize> {
+    v.trim().parse::<usize>().ok().filter(|&n| n > 0)
 }
 
 /// One schedulable component: its kernel plus its model, mutably borrowed
@@ -323,4 +335,18 @@ fn describe_blocked(slots: &[Slot<'_>]) -> String {
         }
     }
     out.join(", ")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_workers;
+
+    #[test]
+    fn workers_value_must_be_a_positive_integer() {
+        assert_eq!(parse_workers("4"), Some(4));
+        assert_eq!(parse_workers(" 2\n"), Some(2));
+        for bad in ["0", "-1", "", "two", "2.5", "4 workers"] {
+            assert_eq!(parse_workers(bad), None, "{bad:?} accepted");
+        }
+    }
 }

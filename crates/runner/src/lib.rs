@@ -43,5 +43,5 @@ pub use proxy::{
     proxy_channel_over_tcp, proxy_pair, read_handshake, write_handshake, ProxyHandle, ProxyKind,
     ProxyStats,
 };
-pub use shm::{shm_supported, ShmEndpoint, ShmPushError, ShmTransport};
+pub use shm::{shm_supported, ShmEndpoint, ShmPopError, ShmPushError, ShmTransport};
 pub use transport::{Transport, TransportKind, ENV_TRANSPORT};

@@ -5,13 +5,14 @@
 //! synchronization; sockets are only for cross-host links. This module
 //! provides that fast path for `crate::dist`: one memory-mapped file per
 //! cross-partition link carrying two fixed-slot SPSC rings (one per
-//! direction), with the same layout discipline as the in-process queue of
+//! direction), with the same ownership protocol as the in-process queue of
 //! `simbricks_base::spsc` — a per-slot control byte whose top bit encodes
 //! ownership (producer/consumer) and whose low seven bits carry the message
 //! type, written with release ordering and read with acquire ordering, so
-//! the only shared cache traffic carries useful data. Slots are padded to
-//! two cache lines to avoid false sharing, and each side keeps its ring
-//! index local (never shared), exactly like the paper's queues.
+//! the only shared cache traffic carries useful data. Unlike the in-process
+//! queue, each slot carries its payload inline; slots are padded to a
+//! multiple of two cache lines to avoid false sharing, and each side keeps
+//! its ring index local (never shared), exactly like the paper's queues.
 //!
 //! ## Region layout
 //!
@@ -80,8 +81,10 @@ const STATE_READY: u8 = 1;
 const STATE_ATTACHED: u8 = 2;
 const STATE_POISONED: u8 = 3;
 
-// Slot layout (mirrors `simbricks_base::slot`): control byte first, then the
-// inline header, then the payload, padded to two cache lines.
+// Slot layout: control byte first, then the header (timestamp, length), then
+// the payload inline, padded to a multiple of two cache lines. The protocol
+// on the control byte is that of `simbricks_base::slot`; the layout is not
+// (in-process queues keep payloads in a separate arena).
 const SLOT_OFF_CTRL: usize = 0;
 const SLOT_OFF_TS: usize = 8;
 const SLOT_OFF_LEN: usize = 16;
@@ -421,6 +424,14 @@ pub enum ShmPushError {
     TooLarge,
 }
 
+/// Error returned by [`ShmEndpoint::pop`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShmPopError {
+    /// The peer published a slot whose length field exceeds
+    /// [`MAX_PAYLOAD`]: the region is corrupt. The slot is left unconsumed.
+    BadLength(u32),
+}
+
 /// One side of an shm link: a producer index into its transmit ring and a
 /// consumer index into its receive ring, both process-local (never shared),
 /// as in the paper's queue design.
@@ -487,19 +498,26 @@ impl ShmEndpoint {
         Ok(())
     }
 
-    /// Dequeue the next message from the receive ring, if any.
-    pub fn pop(&mut self) -> Option<OwnedMsg> {
+    /// Dequeue the next message from the receive ring, if any. The length
+    /// field is written by another process, so a value beyond
+    /// [`MAX_PAYLOAD`] is reported as [`ShmPopError::BadLength`] rather than
+    /// trusted or truncated.
+    pub fn pop(&mut self) -> Result<Option<OwnedMsg>, ShmPopError> {
         let base = self.ring_base(false) + self.rx_idx * self.region.stride;
         let ctrl = self.region.atomic_at(base + SLOT_OFF_CTRL);
         let c = ctrl.load(Ordering::Acquire);
         if c & OWNER_CONSUMER == 0 {
-            return None;
+            return Ok(None);
         }
         let mut ts = [0u8; 8];
         self.region.read_bytes(base + SLOT_OFF_TS, &mut ts);
         let mut len = [0u8; 4];
         self.region.read_bytes(base + SLOT_OFF_LEN, &mut len);
-        let len = (u32::from_le_bytes(len) as usize).min(MAX_PAYLOAD);
+        let raw_len = u32::from_le_bytes(len);
+        let len = raw_len as usize;
+        if len > MAX_PAYLOAD {
+            return Err(ShmPopError::BadLength(raw_len));
+        }
         // One copy: mapped ring straight into a pooled segment (no heap
         // allocation on a warm pool; SYNCs are allocation-free).
         let data = if len == 0 {
@@ -520,7 +538,7 @@ impl ShmEndpoint {
         if self.rx_idx == self.region.slots {
             self.rx_idx = 0;
         }
-        Some(msg)
+        Ok(Some(msg))
     }
 
     /// Mark this side closed (everything it will ever send is in the ring).
@@ -729,7 +747,18 @@ pub(crate) fn shm_forward_loop(
             return;
         }
         // Ring -> local (retry until the component drains its queue).
-        while let Some(msg) = endpoint.pop() {
+        loop {
+            let msg = match endpoint.pop() {
+                Ok(Some(m)) => m,
+                Ok(None) => break,
+                Err(ShmPopError::BadLength(len)) => {
+                    eprintln!(
+                        "shm transport: peer wrote a corrupt slot length {len}; closing link"
+                    );
+                    endpoint.set_closed();
+                    return;
+                }
+            };
             loop {
                 if shutdown.is_set() {
                     endpoint.set_closed();
@@ -805,14 +834,14 @@ mod tests {
             // Interleave so the ring wraps.
             a.push(&OwnedMsg::new(SimTime::from_ns(i), 5, i.to_le_bytes().to_vec()))
                 .unwrap();
-            let m = b.pop().unwrap();
+            let m = b.pop().unwrap().unwrap();
             assert_eq!(m.timestamp, SimTime::from_ns(i));
             assert_eq!(m.ty, 5);
             assert_eq!(m.data, i.to_le_bytes().to_vec());
         }
         // Reverse direction, including a SYNC.
         b.push(&OwnedMsg::sync(SimTime::from_ns(7))).unwrap();
-        let m = a.pop().unwrap();
+        let m = a.pop().unwrap().unwrap();
         assert_eq!(m.ty, MSG_SYNC);
         assert!(m.data.is_empty());
     }
@@ -832,9 +861,35 @@ mod tests {
             Err(ShmPushError::Full)
         );
         for i in 0..4u64 {
-            assert_eq!(b.pop().unwrap().data, vec![i as u8]);
+            assert_eq!(b.pop().unwrap().unwrap().data, vec![i as u8]);
         }
-        assert!(b.pop().is_none());
+        assert_eq!(b.pop(), Ok(None));
+    }
+
+    #[test]
+    fn pop_rejects_a_corrupt_slot_length() {
+        let path = temp_path("badlen");
+        let params = ChannelParams::default_sync().with_queue_len(4);
+        let sd = ShutdownSignal::default();
+        let mut a = create_region(&path, "l", params).unwrap();
+        let mut b = attach_region(&path, "l", params, soon(), &sd).unwrap();
+        a.push(&OwnedMsg::new(SimTime::from_ns(1), 3, vec![7u8; 16]))
+            .unwrap();
+        // The peer overwrites the published slot's length field.
+        let base = b.ring_base(false);
+        let bad = MAX_PAYLOAD as u32 + 1;
+        b.region
+            .write_bytes(base + SLOT_OFF_LEN, &bad.to_le_bytes());
+        assert_eq!(b.pop(), Err(ShmPopError::BadLength(bad)));
+        // The slot stays unconsumed: the error repeats instead of skipping.
+        assert_eq!(b.pop(), Err(ShmPopError::BadLength(bad)));
+        b.region
+            .write_bytes(base + SLOT_OFF_LEN, &u32::MAX.to_le_bytes());
+        assert_eq!(b.pop(), Err(ShmPopError::BadLength(u32::MAX)));
+        // A length of exactly MAX_PAYLOAD is still accepted.
+        b.region
+            .write_bytes(base + SLOT_OFF_LEN, &(MAX_PAYLOAD as u32).to_le_bytes());
+        assert_eq!(b.pop().unwrap().unwrap().data.len(), MAX_PAYLOAD);
     }
 
     #[test]
@@ -930,7 +985,7 @@ mod tests {
         });
         let mut expect = 0u64;
         while expect < n {
-            match b.pop() {
+            match b.pop().unwrap() {
                 Some(m) => {
                     assert_eq!(m.data, expect.to_le_bytes().to_vec());
                     assert_eq!(m.timestamp, SimTime::from_ps(expect));
@@ -993,16 +1048,16 @@ mod tests {
                             Err(e) => prop_assert!(false, "unexpected push error {:?}", e),
                         }
                     } else {
-                        let got = b.pop();
+                        let got = b.pop().unwrap();
                         let want = model.pop_front();
                         prop_assert_eq!(got, want, "pop matches the model exactly");
                     }
                 }
                 // Drain: everything still queued comes out in order.
                 while let Some(want) = model.pop_front() {
-                    prop_assert_eq!(b.pop(), Some(want));
+                    prop_assert_eq!(b.pop(), Ok(Some(want)));
                 }
-                prop_assert_eq!(b.pop(), None);
+                prop_assert_eq!(b.pop(), Ok(None));
             }
         }
     }
